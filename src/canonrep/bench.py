@@ -163,8 +163,8 @@ def lp_norm(sums: np.ndarray, p: float) -> tuple[float, float]:
     An all-zero batch is degenerate: the estimate and its standard error
     are both zero.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not (1 < p < math.inf):  # false for nan too
+        raise ValueError("p must be finite and exceed 1")
     sums = np.asarray(sums, dtype=float)
     if sums.size == 0:
         raise ValueError("empty batch")

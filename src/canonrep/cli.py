@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import sys
 
 import click
@@ -78,6 +79,17 @@ def _common(fn):
 def _check_format_version(version: int) -> None:
     if version != FORMAT_VERSION:
         raise FormatError(f"only format_version {FORMAT_VERSION} is supported")
+
+
+def _finite_above(bound: float):
+    """Click callback accepting only finite numbers above ``bound``."""
+
+    def check(ctx, param, value: float) -> float:
+        if not (bound < value < math.inf):  # false for nan too
+            raise click.BadParameter(f"{value} is not a finite number above {bound:g}")
+        return value
+
+    return check
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -203,8 +215,9 @@ def transport(
 
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--p", "p_norm", type=float, default=2.0, show_default=True)
-@click.option("--samples", type=int, default=10**5, show_default=True)
+@click.option("--p", "p_norm", type=float, default=2.0, show_default=True,
+              callback=_finite_above(1))
+@click.option("--samples", type=click.IntRange(min=1), default=10**5, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--depth-limit", type=int, default=4, show_default=True,
               help="Largest depth the enumeration oracle runs at.")
@@ -293,12 +306,14 @@ def _parse_grid(grid_arg: str, depth: int) -> np.ndarray:
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--scheme", type=click.Choice(["exit_sample", "euler"]),
               default="exit_sample", show_default=True)
-@click.option("--samples", type=int, default=10**4, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10**4, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--grid", default="4", show_default=True,
               help="Points per block, or comma-separated absolute times.")
-@click.option("--dt", type=float, default=5e-5, show_default=True)
+@click.option("--dt", type=float, default=5e-5, show_default=True,
+              callback=_finite_above(0))
 @click.option("--cap", type=float, default=1e4, show_default=True,
+              callback=_finite_above(0),
               help="Censoring horizon for the time change.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--csv", "csv_path", type=click.Path(), default=None,

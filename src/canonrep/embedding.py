@@ -67,14 +67,15 @@ class BrownianConfig:
     phi_cap: float = 1e4
 
     def __post_init__(self):
-        if self.dt_base <= 0:
-            raise ValueError("dt_base must be positive")
+        # chained comparisons are false for nan, so every check fails closed
+        if not (0.0 < self.dt_base < math.inf):
+            raise ValueError("dt_base must be positive and finite")
         if not (0.0 < self.boundary_eps < 0.1):
             raise ValueError("boundary_eps must lie in (0, 0.1)")
         if self.scheme not in ("exit_sample", "euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.phi_cap <= 0:
-            raise ValueError("phi_cap must be positive")
+        if not (0.0 < self.phi_cap < math.inf):
+            raise ValueError("phi_cap must be positive and finite")
 
 
 @dataclass
@@ -256,10 +257,33 @@ def simulate_F(
     """
     _check_mds(rep)
     grid = np.asarray(grid, dtype=float)
-    root = _compile_disk(rep)
-    depth, dim = rep.depth, rep.dimension
-    per_block = _grid_by_block(grid, depth)
+    depth = rep.depth
+    path = _simulate_path(
+        rep, _compile_disk(rep), grid, _grid_by_block(grid, depth), cfg, path_index
+    )
+    coarse = path.coarse_blocks
+    if enforce_coarse_guard and depth and coarse / depth >= 0.01:
+        raise StepTooCoarse(
+            f"{coarse} of {depth} blocks exited in fewer than "
+            f"{MIN_STEPS_BEFORE_EXIT} steps",
+            coarse=coarse,
+            total=depth,
+        )
+    return path
 
+
+def _simulate_path(
+    rep: CellRepresentation,
+    root: _DiskNode,
+    grid: np.ndarray,
+    per_block: list[list[tuple[int, float]]],
+    cfg: BrownianConfig,
+    path_index: int,
+) -> EmbeddedPath:
+    """One path of ``simulate_F`` on the checked tree ``rep`` compiled to
+    ``root``, with ``grid`` already split by ``_grid_by_block``; the
+    caller applies the coarse-step guard."""
+    depth, dim = rep.depth, rep.dimension
     increments = np.zeros((depth, dim))
     exit_points = np.zeros(depth)
     exit_times = np.full(depth, math.nan)
@@ -320,13 +344,6 @@ def simulate_F(
                     values[gi] = partial + increments[n]
             partial = partial + increments[n]
             node = node.children[cell]
-        if enforce_coarse_guard and depth and coarse / depth >= 0.01:
-            raise StepTooCoarse(
-                f"{coarse} of {depth} blocks exited in fewer than "
-                f"{MIN_STEPS_BEFORE_EXIT} steps",
-                coarse=coarse,
-                total=depth,
-            )
 
     return EmbeddedPath(
         times=grid,
@@ -419,12 +436,14 @@ def simulate_grid_batch(
     """
     _check_mds(rep)
     grid = np.asarray(grid, dtype=float)
+    root = _compile_disk(rep)
+    per_block = _grid_by_block(grid, rep.depth)
     values = np.empty((count, len(grid), rep.dimension))
     increments = np.empty((count, rep.depth, rep.dimension))
     restarts = 0
     coarse = 0
     for m in range(count):
-        path = simulate_F(rep, grid, cfg, path_index=m, enforce_coarse_guard=False)
+        path = _simulate_path(rep, root, grid, per_block, cfg, m)
         values[m] = path.values
         increments[m] = path.increments
         restarts += path.restarts

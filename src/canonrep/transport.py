@@ -13,6 +13,11 @@ with the transport then reproduces the second component's step function
 at every point of the section, and the map is measure preserving because
 paired pieces have equal length.
 
+Both verifiers run exactly, in integers on the section's lcm grid: every
+endpoint is scaled once by the lcm of its denominators (and of the dyadic
+grid size, for the measure check), so no Fraction arithmetic is left in
+their loops.
+
 Interleaving maps [0,1) into [0,1)^2 by splitting binary digits into odd
 and even positions at a fixed finite precision; dyadic rectangles pull
 back to sets of exactly the right measure.
@@ -23,14 +28,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import add
 from random import Random
 from typing import NamedTuple, Optional
 
 from .errors import DimensionMismatch, NotAnAtom, NotTangent, RaggedDepth, XOutOfRange
 from .process import (
-    ONE,
-    ZERO,
     Branch,
     CheckResult,
     FiniteProcess,
@@ -224,7 +229,9 @@ def verify_measure_preserving(t: TransportMap | SectionTransport) -> CheckResult
 
     Sources must tile [0,1), targets must tile [0,1), paired intervals
     must have equal length, and the preimage of every cell of the dyadic
-    grid with 2^10 cells must have measure exactly 2^-10.
+    grid with 2^10 cells must have measure exactly 2^-10.  Each section
+    is checked in integers on its lcm grid (``_lcm_grid``), which is
+    exact; witnesses report Fractions.
     """
     sections = t.sections if isinstance(t, TransportMap) else (t,)
     for s in sections:
@@ -234,22 +241,44 @@ def verify_measure_preserving(t: TransportMap | SectionTransport) -> CheckResult
     return CheckResult(True, None)
 
 
+def _lcm_grid(*rows, base: int = 1) -> tuple[int, list[list[int]]]:
+    """Scale rows of rationals to integers on their common grid.
+
+    ``scale`` is the lcm of ``base`` and every denominator, and x maps to
+    the integer x * scale, so equality, order and sums carry over exactly.
+    """
+    scale = lcm(base, *(x.denominator for row in rows for x in row))
+    return scale, [
+        [x.numerator * (scale // x.denominator) for x in row] for row in rows
+    ]
+
+
 def _verify_section(s: SectionTransport) -> CheckResult:
     def fail(reason, **info):
         return CheckResult(False, {"history": s.history, "reason": reason, **info})
 
-    if not s.pairs:
+    pairs = s.pairs
+    if not pairs:
         return fail("empty section")
-    lo = ZERO
-    for p in s.pairs:
-        if p.source.lo != lo:
-            return fail("source gap", at=lo, found=p.source.lo)
-        lo = p.source.hi
-    if lo != ONE:
-        return fail("source does not reach 1", at=lo)
+    n = 1 << DYADIC_GRID_BITS
+    scale, (src_lo, src_hi, tgt_lo, tgt_hi) = _lcm_grid(
+        [p.source.lo for p in pairs],
+        [p.source.hi for p in pairs],
+        [p.target.lo for p in pairs],
+        [p.target.hi for p in pairs],
+        base=n,
+    )
 
-    for p in s.pairs:
-        if p.source.length != p.target.length:
+    lo = 0
+    for i, p in enumerate(pairs):
+        if src_lo[i] != lo:
+            return fail("source gap", at=Fraction(lo, scale), found=p.source.lo)
+        lo = src_hi[i]
+    if lo != scale:
+        return fail("source does not reach 1", at=Fraction(lo, scale))
+
+    for i, p in enumerate(pairs):
+        if src_hi[i] - src_lo[i] != tgt_hi[i] - tgt_lo[i]:
             return fail(
                 "length mismatch",
                 source=(p.source.lo, p.source.hi),
@@ -258,32 +287,36 @@ def _verify_section(s: SectionTransport) -> CheckResult:
                 target_length=p.target.length,
             )
 
-    targets = sorted(s.pairs, key=lambda p: p.target.lo)
-    lo = ZERO
-    for p in targets:
-        if p.target.lo != lo:
-            return fail("target gap or overlap", at=lo, found=p.target.lo)
-        lo = p.target.hi
-    if lo != ONE:
-        return fail("target does not reach 1", at=lo)
+    order = sorted(range(len(pairs)), key=tgt_lo.__getitem__)
+    lo = 0
+    for i in order:
+        if tgt_lo[i] != lo:
+            return fail("target gap or overlap", at=Fraction(lo, scale),
+                        found=pairs[i].target.lo)
+        lo = tgt_hi[i]
+    if lo != scale:
+        return fail("target does not reach 1", at=Fraction(lo, scale))
 
-    # preimage measure of each dyadic grid cell, summed exactly
-    n = 1 << DYADIC_GRID_BITS
-    cell_len = Fraction(1, n)
-    masses = [ZERO] * n
-    for p in s.pairs:
-        i = int(p.target.lo * n)
-        while i < n and Fraction(i, n) < p.target.hi:
-            lo_overlap = max(p.target.lo, Fraction(i, n))
-            hi_overlap = min(p.target.hi, Fraction(i + 1, n))
-            if hi_overlap > lo_overlap:
-                masses[i] += hi_overlap - lo_overlap
-            i += 1
-    for i, m in enumerate(masses):
-        if m != cell_len:
-            return fail(
-                "dyadic preimage mass", cell=i, mass=m, expected=cell_len
-            )
+    # preimage measure of each dyadic grid cell in one sweep: a pair adds
+    # partial mass to the cells holding its ends, and the cells strictly
+    # between them through a difference array
+    cell = scale // n
+    ends = [0] * n
+    diff = [0] * n
+    for a, b in zip(tgt_lo, tgt_hi):
+        first, last = a // cell, (b - 1) // cell
+        if first == last:
+            ends[first] += b - a
+        else:
+            ends[first] += (first + 1) * cell - a
+            ends[last] += b - last * cell
+            diff[first + 1] += cell
+            diff[last] -= cell
+    masses = list(map(add, ends, accumulate(diff)))
+    if masses != [cell] * n:
+        i = next(i for i, m in enumerate(masses) if m != cell)
+        return fail("dyadic preimage mass", cell=i, mass=Fraction(masses[i], scale),
+                    expected=Fraction(1, n))
     return CheckResult(True, None)
 
 
@@ -296,24 +329,24 @@ def verify_transport_consistency(
 ) -> CheckResult:
     """Check second = first o transport at random points, exactly.
 
-    For every section, random rationals are drawn on the section's common
-    denominator grid (so all arithmetic stays in integers) and the value
-    of the first component at the transported point is compared with the
-    value of the second component at the original point.
+    For every section, random rationals are drawn on the section's lcm
+    grid (so all arithmetic stays in integers) and the value of the first
+    component at the transported point is compared with the value of the
+    second component at the original point.
     """
     rng = Random(seed)
     d = component_dim
     for tm in maps:
         for s in tm.sections:
             node = _locate(base, s.history)
-            scale = lcm(
-                *[iv.denominator for p in s.pairs for iv in
-                  (p.source.lo, p.source.hi, p.target.lo, p.target.hi)],
-                *[b.denominator for b in node.cums],
+            # the upper ends only take part in the grid, which fixes the points drawn
+            scale, (src_los, tgt_los, cums, _, _) = _lcm_grid(
+                [p.source.lo for p in s.pairs],
+                [p.target.lo for p in s.pairs],
+                node.cums,
+                [p.source.hi for p in s.pairs],
+                [p.target.hi for p in s.pairs],
             )
-            src_los = [int(p.source.lo * scale) for p in s.pairs]
-            tgt_los = [int(p.target.lo * scale) for p in s.pairs]
-            cums = [int(c * scale) for c in node.cums]
             seconds = [c.value[d:] for c in node.cells]
             firsts = [c.value[:d] for c in node.cells]
             for _ in range(points_per_section):

@@ -167,6 +167,12 @@ def test_lp_norm_degenerate_zero():
     assert lp_norm(np.zeros((10, 1)), 2) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("p", [1.0, math.nan, math.inf])
+def test_lp_norm_rejects_bad_p(p):
+    with pytest.raises(ValueError):
+        lp_norm(np.ones((10, 1)), p)
+
+
 def test_lp_norm_second_moment_additivity():
     # N independent fair coins: E|sum|^2 = N exactly
     p = random_dyadic_mds(4, 1, 1, seed=19)

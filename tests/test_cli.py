@@ -349,3 +349,45 @@ def test_skorohod_csv_and_svg(runner, tmp_path):
     assert csv_path.read_text().startswith("path,t,F_0")
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+# ---------------------------------------------------------------------------
+# parameter validation at the boundary
+
+@pytest.mark.parametrize(
+    "args",
+    [["--samples", "0"], ["--p", "1"], ["--p", "nan"], ["--p", "inf"]],
+    ids=["samples-0", "p-1", "p-nan", "p-inf"],
+)
+def test_bench_rejects_bad_parameters(runner, tmp_path, args):
+    p_path = _gen(runner, tmp_path)
+    r_path = tmp_path / "r.json"
+    runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
+    out = tmp_path / "b.json"
+    res = runner.invoke(
+        main, ["bench", "--in", str(r_path), "--seed", "3", "--out", str(out)] + args
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert args[0] in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--samples", "0"], ["--dt", "nan"], ["--dt", "inf"], ["--dt", "0"],
+     ["--cap", "nan"], ["--cap", "inf"], ["--cap", "-1"]],
+    ids=["samples-0", "dt-nan", "dt-inf", "dt-0", "cap-nan", "cap-inf", "cap-neg"],
+)
+def test_skorohod_rejects_bad_parameters(runner, tmp_path, args):
+    p_path = _gen(runner, tmp_path)
+    out = tmp_path / "s.json"
+    res = runner.invoke(
+        main, ["skorohod", "--in", str(p_path), "--seed", "5", "--out", str(out)] + args
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert args[0] in res.output
+    assert not out.exists()

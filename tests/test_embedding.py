@@ -53,6 +53,11 @@ def test_config_validation():
         BrownianConfig(boundary_eps=0.5)
     with pytest.raises(ValueError):
         BrownianConfig(scheme="exact")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BrownianConfig(dt_base=bad)
+        with pytest.raises(ValueError):
+            BrownianConfig(phi_cap=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,25 @@ def test_deterministic_zero_process_embeds_to_zero():
     path = simulate_F(rep, [0.25, 0.75], cfg)
     assert np.all(path.values == 0.0)
     assert np.all(path.increments == 0.0)
+
+
+@pytest.mark.parametrize("scheme, count", [("exit_sample", 200), ("euler", 6)])
+def test_grid_batch_matches_simulate_f(mds_rep, monkeypatch, scheme, count):
+    from canonrep import embedding
+
+    cfg = BrownianConfig(seed=17, scheme=scheme, dt_base=5e-5)
+    grid = np.array([0.2, 0.5, 0.8, 1.2, 1.5, 1.8])
+    paths = [simulate_F(mds_rep, grid, cfg, path_index=m) for m in range(count)]
+    checks = []
+    check_mds = embedding._check_mds
+    monkeypatch.setattr(
+        embedding, "_check_mds", lambda rep: checks.append(check_mds(rep))
+    )
+    values, increments, restarts = simulate_grid_batch(mds_rep, grid, count, cfg)
+    assert len(checks) == 1  # the tree is verified once per batch, not per path
+    assert np.array_equal(values, np.stack([p.values for p in paths]))
+    assert np.array_equal(increments, np.stack([p.increments for p in paths]))
+    assert restarts == sum(p.restarts for p in paths)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,11 @@ from canonrep import (
     verify_measure_preserving,
     verify_transport_consistency,
 )
+from canonrep import random_tangent_pair
+from canonrep.process import ONE, ZERO, CheckResult
 from canonrep.representation import Interval
 from canonrep.transport import (
+    DYADIC_GRID_BITS,
     IntervalPair,
     InterleavingMap,
     SectionTransport,
@@ -264,6 +267,135 @@ def test_source_gap_fails():
     res = verify_measure_preserving(section)
     assert not res.ok
     assert res.witness["reason"] == "source gap"
+
+
+def _reference_verify_section(s: SectionTransport) -> CheckResult:
+    """The measure check in plain Fraction arithmetic, cell by cell."""
+
+    def fail(reason, **info):
+        return CheckResult(False, {"history": s.history, "reason": reason, **info})
+
+    if not s.pairs:
+        return fail("empty section")
+    lo = ZERO
+    for p in s.pairs:
+        if p.source.lo != lo:
+            return fail("source gap", at=lo, found=p.source.lo)
+        lo = p.source.hi
+    if lo != ONE:
+        return fail("source does not reach 1", at=lo)
+
+    for p in s.pairs:
+        if p.source.length != p.target.length:
+            return fail(
+                "length mismatch",
+                source=(p.source.lo, p.source.hi),
+                target=(p.target.lo, p.target.hi),
+                source_length=p.source.length,
+                target_length=p.target.length,
+            )
+
+    targets = sorted(s.pairs, key=lambda p: p.target.lo)
+    lo = ZERO
+    for p in targets:
+        if p.target.lo != lo:
+            return fail("target gap or overlap", at=lo, found=p.target.lo)
+        lo = p.target.hi
+    if lo != ONE:
+        return fail("target does not reach 1", at=lo)
+
+    n = 1 << DYADIC_GRID_BITS
+    cell_len = F(1, n)
+    masses = [ZERO] * n
+    for p in s.pairs:
+        i = int(p.target.lo * n)
+        while i < n and F(i, n) < p.target.hi:
+            lo_overlap = max(p.target.lo, F(i, n))
+            hi_overlap = min(p.target.hi, F(i + 1, n))
+            if hi_overlap > lo_overlap:
+                masses[i] += hi_overlap - lo_overlap
+            i += 1
+    for i, m in enumerate(masses):
+        if m != cell_len:
+            return fail("dyadic preimage mass", cell=i, mass=m, expected=cell_len)
+    return CheckResult(True, None)
+
+
+def _assert_matches_reference(section: SectionTransport) -> CheckResult:
+    res = verify_measure_preserving(section)
+    # repr also compares the witness value types, not only their values
+    assert repr(res) == repr(_reference_verify_section(section))
+    return res
+
+
+_EDITS = ("shift target", "shorten source", "shorten target", "shorten both",
+          "drop", "reorder")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    decoupled=st.booleans(),
+    edits=st.lists(st.sampled_from(_EDITS), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_measure_check_matches_fraction_reference(seed, decoupled, edits, data):
+    if decoupled:
+        p = random_process(2, 4, 1, seed=seed, mds=True)
+        pq = pair_law(construct_ci_copy(canonical_representation(p)))
+    else:
+        pq = random_tangent_pair(2, 4, 1, seed=seed)
+    maps = build_transport(pq)
+    sections = [s for tm in maps for s in tm.sections]
+    for s in sections:
+        _assert_matches_reference(s)
+    section = data.draw(st.sampled_from(sections))
+    pairs = list(section.pairs)
+    for edit in edits:
+        if not pairs:
+            break
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        src, tgt = pairs[i].source, pairs[i].target
+        if edit == "shift target":
+            q = data.draw(st.integers(1, 16))
+            lo = F(data.draw(st.integers(0, q)), q) * (1 - tgt.length)
+            pairs[i] = IntervalPair(src, Interval(lo, lo + tgt.length))
+        elif edit.startswith("shorten"):
+            q = data.draw(st.integers(2, 16))
+            r = F(data.draw(st.integers(1, q - 1)), q)
+            if edit != "shorten target":
+                src = Interval(src.lo, src.lo + r * src.length)
+            if edit != "shorten source":
+                tgt = Interval(tgt.lo, tgt.lo + r * tgt.length)
+            pairs[i] = IntervalPair(src, tgt)
+        elif edit == "drop":
+            del pairs[i]
+        else:
+            j = data.draw(st.integers(0, len(pairs) - 1))
+            pairs[i], pairs[j] = pairs[j], pairs[i]
+    _assert_matches_reference(SectionTransport(section.history, tuple(pairs)))
+
+
+def test_measure_check_beyond_64_bit_grid():
+    # two Mersenne-prime denominators: the lcm grid has about 160 bits
+    a, b = F(1, 2**61 - 1), F(1, 2**89 - 1)
+    cuts = [F(0), a, a + b, F(1)]
+    sources = [Interval(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    # targets in reverse order: [1 - a, 1), [1 - a - b, 1 - a), [0, 1 - a - b)
+    ends = [F(1)]
+    for iv in sources:
+        ends.append(ends[-1] - iv.length)
+    targets = [Interval(lo, hi) for hi, lo in zip(ends, ends[1:])]
+    section = SectionTransport((), tuple(map(IntervalPair, sources, targets)))
+    assert _assert_matches_reference(section).ok
+
+    shifted = Interval(targets[1].lo + b / 2, targets[1].hi + b / 2)
+    broken = SectionTransport(
+        (), (section.pairs[0], IntervalPair(sources[1], shifted), section.pairs[2])
+    )
+    res = _assert_matches_reference(broken)
+    assert res.witness["reason"] == "target gap or overlap"
+    assert res.witness["found"].denominator > 2**64
 
 
 def test_section_apply_is_translation():
