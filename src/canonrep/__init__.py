@@ -31,6 +31,7 @@ from .process import (
     are_tangent,
     conditional_law,
     is_mds,
+    iter_prefix_laws,
     joint_law,
     make_value,
     pair_from_identical,

@@ -21,7 +21,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateBatch, NotMartingaleDifference
+from .errors import DegenerateBatch
+from .harmonic import compile_disk
 from .jsonio import representation_to_json
 from .martingale import (
     DecoupledRepresentation,
@@ -29,25 +30,8 @@ from .martingale import (
     verify_zero_sections,
 )
 from .process import ONE, ZERO
-from .representation import CellRepresentation, RepNode
+from .representation import CellRepresentation
 from .rng import GENERATOR_ID, path_stream
-
-
-# ---------------------------------------------------------------------------
-# compiled representations (float cell boundaries for fast walking)
-
-class _CompiledNode:
-    __slots__ = ("bounds", "values", "children")
-
-    def __init__(self, node: RepNode):
-        self.bounds = np.array([float(c) for c in node.cums[1:-1]])
-        self.values = np.array(
-            [[float(c) for c in cell.value] for cell in node.cells]
-        )
-        self.children = [
-            _CompiledNode(cell.child) if cell.child is not None else None
-            for cell in node.cells
-        ]
 
 
 def _rep_id(rep: CellRepresentation) -> str:
@@ -94,7 +78,7 @@ def sample_paths(
         raise ValueError("count must be at least 1")
     decoupled = isinstance(source, DecoupledRepresentation)
     rep = source.base if decoupled else source
-    root = _CompiledNode(rep.root)
+    root = compile_disk(rep)
     depth, dim = rep.depth, rep.dimension
     src_id = _rep_id(rep)
 
@@ -161,7 +145,7 @@ def lp_norm(sums: np.ndarray, p: float) -> tuple[float, float]:
     """Empirical L_p norm of Euclidean path sums, with delta-method SE.
 
     An all-zero batch is degenerate: the estimate and its standard error
-    are both zero.
+    are both zero.  A standard error needs at least two samples.
     """
     if not (1 < p < math.inf):  # false for nan too
         raise ValueError("p must be finite and exceed 1")
@@ -169,12 +153,12 @@ def lp_norm(sums: np.ndarray, p: float) -> tuple[float, float]:
     if sums.size == 0:
         raise ValueError("empty batch")
     y = np.linalg.norm(sums, axis=-1) ** p
+    if y.size < 2:
+        raise ValueError("a standard error needs at least two samples")
     m = float(y.mean())
     if m == 0.0:
         return 0.0, 0.0
     est = m ** (1.0 / p)
-    if y.size < 2:
-        return est, 0.0
     se_m = float(y.std(ddof=1)) / math.sqrt(y.size)
     return est, se_m * est / (p * m)
 
@@ -211,11 +195,7 @@ def decoupling_ratio(
     The exact enumeration oracle fills in ``exact_ratio`` whenever p is an
     even integer and the tree is small enough to enumerate.
     """
-    report = verify_zero_sections(rep)
-    if report.max_abs != 0:
-        raise NotMartingaleDifference(
-            f"max section deviation {report.max_abs}", max_abs=report.max_abs
-        )
+    verify_zero_sections(rep).require_zero()
     batch = sample_paths(construct_ci_copy(rep), count, seed)
     sums_d = batch.direct.sum(axis=1)
     sums_e = batch.decoupled.sum(axis=1)

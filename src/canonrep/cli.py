@@ -217,7 +217,7 @@ def transport(
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--p", "p_norm", type=float, default=2.0, show_default=True,
               callback=_finite_above(1))
-@click.option("--samples", type=click.IntRange(min=1), default=10**5, show_default=True)
+@click.option("--samples", type=click.IntRange(min=2), default=10**5, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--depth-limit", type=int, default=4, show_default=True,
               help="Largest depth the enumeration oracle runs at.")
@@ -408,6 +408,11 @@ def skorohod(
     _say(quiet, f"chi-square p={chi.p_value:.4f}, restarts={batch.restarts}, "
                 f"coarse_blocks={batch.coarse_blocks}, "
                 f"martingale_ok={str(mart_ok).lower()}")
+    if chi.too_small:
+        click.echo(f"statistical gate failed: sample of {samples} too small for the "
+                   f"chi-square test ({chi.pooled} paths pooled into one category)",
+                   err=True)
+        sys.exit(EXIT_STATISTICAL)
     if chi.p_value < SIGNIFICANCE or not mart_ok:
         click.echo("statistical gate failed", err=True)
         sys.exit(EXIT_STATISTICAL)

@@ -36,10 +36,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotMartingaleDifference, StepTooCoarse, XOutOfRange
-from .harmonic import TAU, Arc, ArcFunction, harmonic_extension
+from .errors import StepTooCoarse, XOutOfRange
+from .harmonic import TAU, DiskNode, compile_disk, harmonic_extension
 from .martingale import verify_zero_sections
-from .representation import CellRepresentation, RepNode
+from .representation import CellRepresentation
 from .rng import GENERATOR_ID, path_stream
 
 _CHUNK = 4096
@@ -115,38 +115,15 @@ class IncrementBatch:
     generator: str = GENERATOR_ID
 
 
-# ---------------------------------------------------------------------------
-# compiled node tree with arcs
-
-class _DiskNode:
-    __slots__ = ("bounds", "values", "arcs", "children")
-
-    def __init__(self, node: RepNode, dimension: int):
-        cums = [float(c) for c in node.cums]
-        self.bounds = np.array(cums[1:-1])
-        self.values = np.array([[float(c) for c in cell.value] for cell in node.cells])
-        self.arcs = ArcFunction(
-            tuple(
-                Arc(TAU * cums[i], TAU * cums[i + 1], self.values[i])
-                for i in range(len(node.cells))
-            ),
-            dimension,
-        )
-        self.children = [
-            _DiskNode(cell.child, dimension) if cell.child is not None else None
-            for cell in node.cells
-        ]
-
-
-def _compile_disk(rep: CellRepresentation) -> _DiskNode:
-    return _DiskNode(rep.root, rep.dimension)
-
-
-def _check_mds(rep: CellRepresentation) -> None:
-    report = verify_zero_sections(rep)
-    if report.max_abs != 0:
-        raise NotMartingaleDifference(
-            f"max section deviation {report.max_abs}", max_abs=report.max_abs
+def _coarse_guard(coarse: int, total: int) -> None:
+    """Raise StepTooCoarse when at least 1% of ``total`` euler blocks exited
+    in fewer than the minimum number of steps."""
+    if total and coarse / total >= 0.01:
+        raise StepTooCoarse(
+            f"{coarse} of {total} blocks exited in fewer than "
+            f"{MIN_STEPS_BEFORE_EXIT} steps",
+            coarse=coarse,
+            total=total,
         )
 
 
@@ -245,7 +222,6 @@ def simulate_F(
     grid,
     cfg: BrownianConfig,
     path_index: int = 0,
-    enforce_coarse_guard: bool = True,
 ) -> EmbeddedPath:
     """Simulate one trajectory of the embedding, sampled on ``grid``.
 
@@ -255,26 +231,18 @@ def simulate_F(
     position (euler) or zero (exit_sample, which starts every block at
     the center where zero-mean boundary data extends to zero).
     """
-    _check_mds(rep)
+    verify_zero_sections(rep).require_zero()
     grid = np.asarray(grid, dtype=float)
-    depth = rep.depth
     path = _simulate_path(
-        rep, _compile_disk(rep), grid, _grid_by_block(grid, depth), cfg, path_index
+        rep, compile_disk(rep), grid, _grid_by_block(grid, rep.depth), cfg, path_index
     )
-    coarse = path.coarse_blocks
-    if enforce_coarse_guard and depth and coarse / depth >= 0.01:
-        raise StepTooCoarse(
-            f"{coarse} of {depth} blocks exited in fewer than "
-            f"{MIN_STEPS_BEFORE_EXIT} steps",
-            coarse=coarse,
-            total=depth,
-        )
+    _coarse_guard(path.coarse_blocks, rep.depth)
     return path
 
 
 def _simulate_path(
     rep: CellRepresentation,
-    root: _DiskNode,
+    root: DiskNode,
     grid: np.ndarray,
     per_block: list[list[tuple[int, float]]],
     cfg: BrownianConfig,
@@ -291,7 +259,7 @@ def _simulate_path(
     restarts = 0
     coarse = 0
 
-    node: Optional[_DiskNode] = root
+    node: Optional[DiskNode] = root
     partial = np.zeros(dim)
 
     if cfg.scheme == "exit_sample":
@@ -367,8 +335,8 @@ def simulate_increments(
     Raises StepTooCoarse when at least 1% of all simulated euler blocks
     exited in fewer than the minimum number of steps.
     """
-    _check_mds(rep)
-    root = _compile_disk(rep)
+    verify_zero_sections(rep).require_zero()
+    root = compile_disk(rep)
     depth, dim = rep.depth, rep.dimension
     increments = np.empty((count, depth, dim))
     angles = np.empty((count, depth))
@@ -405,14 +373,7 @@ def simulate_increments(
                 increments[m, n] = node.values[cell]
                 angles[m, n] = res.angle
                 node = node.children[cell]
-        total = count * depth
-        if total and coarse / total >= 0.01:
-            raise StepTooCoarse(
-                f"{coarse} of {total} blocks exited in fewer than "
-                f"{MIN_STEPS_BEFORE_EXIT} steps",
-                coarse=coarse,
-                total=total,
-            )
+    _coarse_guard(coarse, count * depth)
 
     return IncrementBatch(
         increments=increments,
@@ -434,9 +395,9 @@ def simulate_grid_batch(
     dim), restarts).  StepTooCoarse aggregates over all blocks of the
     whole batch.
     """
-    _check_mds(rep)
+    verify_zero_sections(rep).require_zero()
     grid = np.asarray(grid, dtype=float)
-    root = _compile_disk(rep)
+    root = compile_disk(rep)
     per_block = _grid_by_block(grid, rep.depth)
     values = np.empty((count, len(grid), rep.dimension))
     increments = np.empty((count, rep.depth, rep.dimension))
@@ -448,11 +409,7 @@ def simulate_grid_batch(
         increments[m] = path.increments
         restarts += path.restarts
         coarse += path.coarse_blocks
-    total = count * rep.depth
-    if cfg.scheme == "euler" and total and coarse / total >= 0.01:
-        raise StepTooCoarse(
-            f"{coarse} coarse blocks out of {total}", coarse=coarse, total=total
-        )
+    _coarse_guard(coarse, count * rep.depth)
     return values, increments, restarts
 
 

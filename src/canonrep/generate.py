@@ -20,11 +20,13 @@ MAX_DEPTH = 8
 MAX_BRANCHING = 8
 
 
-def _guard(depth: int, branching: int) -> None:
+def _guard(depth: int, branching: int, dimension: int) -> None:
     if not (1 <= depth <= MAX_DEPTH):
         raise SizeGuard(f"depth {depth} outside 1..{MAX_DEPTH}")
     if not (1 <= branching <= MAX_BRANCHING):
         raise SizeGuard(f"branching {branching} outside 1..{MAX_BRANCHING}")
+    if dimension < 1:
+        raise SizeGuard(f"dimension {dimension} must be at least 1")
 
 
 def _random_probs(rng: Random, k: int) -> list[Fraction]:
@@ -42,6 +44,32 @@ def _random_value(rng: Random, dimension: int) -> Value:
     )
 
 
+def _random_node_law(
+    rng: Random, branching: int, dimension: int, mds: bool
+) -> list[tuple[Value, Fraction]]:
+    """One random conditional law of up to ``branching`` distinct atoms;
+    with ``mds`` the last atom is solved so the mean is exactly zero."""
+    k = rng.randint(1, branching)
+    if mds and k == 1:
+        values: list[Value] = [(Fraction(0),) * dimension]
+    else:
+        values = []
+        while len(values) < k:
+            v = _random_value(rng, dimension)
+            if v not in values:
+                values.append(v)
+    probs = _random_probs(rng, k)
+    if mds and k > 1:
+        # solve the last atom coordinatewise so the mean vanishes
+        rest = [
+            -sum((p * v[i] for p, v in zip(probs, values[:-1])), Fraction(0))
+            / probs[-1]
+            for i in range(dimension)
+        ]
+        values[-1] = tuple(rest)
+    return list(zip(values, probs))
+
+
 def random_process(
     depth: int,
     branching: int,
@@ -50,36 +78,14 @@ def random_process(
     mds: bool = False,
 ) -> FiniteProcess:
     """Random fixture; with ``mds`` every conditional mean is exactly zero."""
-    _guard(depth, branching)
-    if dimension < 1:
-        raise SizeGuard(f"dimension {dimension} must be at least 1")
+    _guard(depth, branching, dimension)
     rng = Random(seed)
 
     def build(level: int) -> Node:
-        k = rng.randint(1, branching)
-        if mds and k == 1:
-            values: list[Value] = [(Fraction(0),) * dimension]
-        else:
-            values = []
-            while len(values) < k:
-                v = _random_value(rng, dimension)
-                if v not in values:
-                    values.append(v)
-        probs = _random_probs(rng, k)
-        if mds and k > 1:
-            # solve the last atom coordinatewise so the mean vanishes
-            rest = [
-                -sum((p * v[i] for p, v in zip(probs, values[:-1])), Fraction(0))
-                / probs[-1]
-                for i in range(dimension)
-            ]
-            values[-1] = tuple(rest)
+        law = _random_node_law(rng, branching, dimension, mds)
         last = level + 1 == depth
         return Node(
-            tuple(
-                Branch(v, p, None if last else build(level + 1))
-                for v, p in zip(values, probs)
-            )
+            tuple(Branch(v, p, None if last else build(level + 1)) for v, p in law)
         )
 
     return FiniteProcess(dimension, depth, build(0))
@@ -99,30 +105,9 @@ def random_independent_process(
     as the source, so these fixtures exercise the full law-equality
     statement about decoupled copies.
     """
-    _guard(depth, branching)
-    if dimension < 1:
-        raise SizeGuard(f"dimension {dimension} must be at least 1")
+    _guard(depth, branching, dimension)
     rng = Random(seed)
-    levels = []
-    for _ in range(depth):
-        k = rng.randint(1, branching)
-        if mds and k == 1:
-            values: list[Value] = [(Fraction(0),) * dimension]
-        else:
-            values = []
-            while len(values) < k:
-                v = _random_value(rng, dimension)
-                if v not in values:
-                    values.append(v)
-        probs = _random_probs(rng, k)
-        if mds and k > 1:
-            rest = [
-                -sum((p * v[i] for p, v in zip(probs, values[:-1])), Fraction(0))
-                / probs[-1]
-                for i in range(dimension)
-            ]
-            values[-1] = tuple(rest)
-        levels.append(list(zip(values, probs)))
+    levels = [_random_node_law(rng, branching, dimension, mds) for _ in range(depth)]
 
     def build(level: int) -> Node:
         last = level + 1 == depth
@@ -149,9 +134,7 @@ def random_tangent_pair(
     share each conditional law exactly while being pathwise dependent
     (the negated coin is the two-atom case).
     """
-    _guard(depth, branching)
-    if dimension < 1:
-        raise SizeGuard(f"dimension {dimension} must be at least 1")
+    _guard(depth, branching, dimension)
     rng = Random(seed)
 
     def build(level: int) -> Node:
@@ -191,7 +174,7 @@ def random_dyadic_mds(
     equal probabilities 1 / (2 * pair_count); pair_count must be a power
     of two so the probabilities stay dyadic.
     """
-    _guard(depth, 2 * pair_count)
+    _guard(depth, 2 * pair_count, dimension)
     if pair_count & (pair_count - 1):
         raise SizeGuard(f"pair_count {pair_count} must be a power of two")
     rng = Random(seed)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooCloseToBoundary
-from .representation import CellRepresentation, locate_node
+from .representation import CellRepresentation, RepNode, locate_node
 from .process import ValuePath
 
 TAU = 2.0 * math.pi
@@ -54,18 +54,48 @@ class ArcFunction:
         return self.arcs[-1].value  # theta in the closing rounding gap
 
 
+def _node_arcs(node: RepNode, dimension: int) -> ArcFunction:
+    return ArcFunction(
+        tuple(
+            Arc(
+                TAU * float(cell.interval.lo),
+                TAU * float(cell.interval.hi),
+                np.array([float(c) for c in cell.value]),
+            )
+            for cell in node.cells
+        ),
+        dimension,
+    )
+
+
 def arc_function(rep: CellRepresentation, prefix: ValuePath) -> ArcFunction:
     """Boundary data of the node reached by a realizable value prefix."""
-    node = locate_node(rep, prefix)
-    arcs = tuple(
-        Arc(
-            TAU * float(cell.interval.lo),
-            TAU * float(cell.interval.hi),
-            np.array([float(c) for c in cell.value]),
-        )
-        for cell in node.cells
-    )
-    return ArcFunction(arcs, rep.dimension)
+    return _node_arcs(locate_node(rep, prefix), rep.dimension)
+
+
+class DiskNode:
+    """A representation node compiled to floats for fast walking.
+
+    ``bounds`` are the interior cell boundaries (search them with
+    ``side="right"`` for the half-open cells), ``values`` holds one row
+    per cell, ``arcs`` is the node's boundary data on the circle and
+    ``children`` the compiled sub-partitions (None at the last level).
+    """
+
+    __slots__ = ("bounds", "values", "arcs", "children")
+
+    def __init__(self, node: RepNode, dimension: int):
+        self.bounds = np.array([float(c) for c in node.cums[1:-1]])
+        self.values = np.array([[float(c) for c in cell.value] for cell in node.cells])
+        self.arcs = _node_arcs(node, dimension)
+        self.children = [
+            DiskNode(cell.child, dimension) if cell.child is not None else None
+            for cell in node.cells
+        ]
+
+
+def compile_disk(rep: CellRepresentation) -> DiskNode:
+    return DiskNode(rep.root, rep.dimension)
 
 
 def _as_complex(z) -> complex:

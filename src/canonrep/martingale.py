@@ -30,9 +30,7 @@ from .process import (
     PairProcess,
     Value,
     ValuePath,
-    _class_children,
-    _class_law,
-    _prefix_class,
+    _zero_mean_check,
     fmt_prefix,
     is_mds,
 )
@@ -54,6 +52,13 @@ class ZeroSectionReport:
 
     max_abs: Fraction
     sections: tuple[tuple[ValuePath, Value], ...]  # (prefix, section integral)
+
+    def require_zero(self) -> None:
+        """Raise NotMartingaleDifference unless every section integral is zero."""
+        if self.max_abs != 0:
+            raise NotMartingaleDifference(
+                f"max section deviation {self.max_abs}", max_abs=self.max_abs
+            )
 
 
 def verify_zero_sections(r: CellRepresentation) -> ZeroSectionReport:
@@ -92,8 +97,7 @@ def represent_mds(p: FiniteProcess) -> CellRepresentation:
             **check.witness,
         )
     r = canonical_representation(p)
-    report = verify_zero_sections(r)
-    assert report.max_abs == 0  # guaranteed by the exact mean check above
+    verify_zero_sections(r).require_zero()
     return r
 
 
@@ -167,18 +171,4 @@ def pair_law(d: DecoupledRepresentation) -> PairProcess:
 def component_conditional_means(pq: PairProcess, which: int) -> CheckResult:
     """Exact zero-mean check for one component under the pair filtration."""
     d = pq.component_dim
-    zero = (ZERO,) * d
-    stack = [((), _prefix_class(pq.process, ()))]
-    while stack:
-        prefix, cls = stack.pop()
-        mean = list(zero)
-        for v, q in _class_law(cls).items():
-            part = v[:d] if which == 0 else v[d:]
-            for i, c in enumerate(part):
-                mean[i] += q * c
-        if tuple(mean) != zero:
-            return CheckResult(False, {"prefix": prefix, "mean": tuple(mean)})
-        if len(prefix) + 1 < pq.process.depth:
-            for v, sub in _class_children(cls).items():
-                stack.append((prefix + (v,), sub))
-    return CheckResult(True, None)
+    return _zero_mean_check(pq.process, slice(None, d) if which == 0 else slice(d, None))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     DimensionMismatch,
@@ -223,25 +223,39 @@ def _prefix_class(p: FiniteProcess, prefix: ValuePath):
     return cls
 
 
-def _class_law(cls) -> dict[Value, Fraction]:
+def _split_class(cls, deeper: bool):
+    """One pass over a prefix class: the law of the next value and, when
+    ``deeper``, the class of every one-step extension by value.
+
+    The extension classes keep first-seen value order and carry
+    conditional weights (each sums to one).
+    """
     law: dict[Value, Fraction] = {}
+    children: dict[Value, list] = {}
     for node, w in cls:
         for br in node.branches:
-            law[br.value] = law.get(br.value, ZERO) + w * br.prob
-    return law
+            q = w * br.prob
+            law[br.value] = law.get(br.value, ZERO) + q
+            if deeper:
+                children.setdefault(br.value, []).append((br.child, q))
+    return law, {v: [(n, w / law[v]) for n, w in sub] for v, sub in children.items()}
 
 
-def _class_children(cls) -> dict[Value, list]:
-    """Advance a prefix class by one step, split by branch value."""
-    out: dict[Value, list] = {}
-    totals: dict[Value, Fraction] = {}
-    for node, w in cls:
-        for br in node.branches:
-            out.setdefault(br.value, []).append((br.child, w * br.prob))
-            totals[br.value] = totals.get(br.value, ZERO) + w * br.prob
-    return {
-        v: [(n, w / totals[v]) for n, w in sub] for v, sub in out.items()
-    }
+def iter_prefix_laws(p: FiniteProcess) -> Iterator[tuple[ValuePath, dict[Value, Fraction]]]:
+    """Yield (prefix, law of the next value) for every realizable prefix
+    shorter than the depth, equal values on distinct branches aggregated.
+
+    Prefixes come depth first from a stack, each node's extensions pushed
+    in first-seen value order, so a check that stops at its first failure
+    always reports the same prefix.
+    """
+    stack = [((), [(p.root, ONE)])]
+    while stack:
+        prefix, cls = stack.pop()
+        law, children = _split_class(cls, len(prefix) + 1 < p.depth)
+        yield prefix, law
+        for v, sub in children.items():
+            stack.append((prefix + (v,), sub))
 
 
 def conditional_law(p: FiniteProcess, prefix: ValuePath) -> list[tuple[Value, Fraction]]:
@@ -256,8 +270,8 @@ def conditional_law(p: FiniteProcess, prefix: ValuePath) -> list[tuple[Value, Fr
             f"{p.depth} process",
             prefix=prefix,
         )
-    cls = _prefix_class(p, tuple(prefix))
-    return sorted(_class_law(cls).items())
+    law, _ = _split_class(_prefix_class(p, tuple(prefix)), False)
+    return sorted(law.items())
 
 
 def step_marginal_law(p: FiniteProcess, step: int) -> dict[Value, Fraction]:
@@ -273,12 +287,17 @@ def step_marginal_law(p: FiniteProcess, step: int) -> dict[Value, Fraction]:
 # ---------------------------------------------------------------------------
 # martingale-difference and tangency checks
 
-def _vec_add(a: Value, b: Value) -> Value:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_scale(a: Value, s: Fraction) -> Value:
-    return tuple(s * x for x in a)
+def _zero_mean_check(p: FiniteProcess, part: slice) -> CheckResult:
+    """Exact zero conditional mean of the coordinates ``part`` of each value,
+    at every realizable prefix; the witness names the first failure."""
+    zero = (ZERO,) * len(range(p.dimension)[part])
+    for prefix, law in iter_prefix_laws(p):
+        mean = zero
+        for v, q in law.items():
+            mean = tuple(m + q * c for m, c in zip(mean, v[part]))
+        if mean != zero:
+            return CheckResult(False, {"prefix": prefix, "mean": mean})
+    return CheckResult(True, None)
 
 
 def is_mds(p: FiniteProcess) -> CheckResult:
@@ -287,19 +306,7 @@ def is_mds(p: FiniteProcess) -> CheckResult:
     On failure the witness carries the offending prefix and the nonzero
     conditional mean.
     """
-    zero = (ZERO,) * p.dimension
-    stack = [((), _prefix_class(p, ()))]
-    while stack:
-        prefix, cls = stack.pop()
-        mean = zero
-        for v, q in _class_law(cls).items():
-            mean = _vec_add(mean, _vec_scale(v, q))
-        if mean != zero:
-            return CheckResult(False, {"prefix": prefix, "mean": mean})
-        if len(prefix) + 1 < p.depth:
-            for v, sub in _class_children(cls).items():
-                stack.append((prefix + (v,), sub))
-    return CheckResult(True, None)
+    return _zero_mean_check(p, slice(None))
 
 
 def _component_law(law: dict[Value, Fraction], d: int, which: int) -> dict[Value, Fraction]:
@@ -318,10 +325,7 @@ def are_tangent(pq: PairProcess) -> CheckResult:
     (value, prob) lists after aggregating equal values).
     """
     d = pq.component_dim
-    stack = [((), _prefix_class(pq.process, ()))]
-    while stack:
-        prefix, cls = stack.pop()
-        law = _class_law(cls)
+    for prefix, law in iter_prefix_laws(pq.process):
         f_law = _component_law(law, d, 0)
         g_law = _component_law(law, d, 1)
         if f_law != g_law:
@@ -333,9 +337,6 @@ def are_tangent(pq: PairProcess) -> CheckResult:
                     "second_law": sorted(g_law.items()),
                 },
             )
-        if len(prefix) + 1 < pq.process.depth:
-            for v, sub in _class_children(cls).items():
-                stack.append((prefix + (v,), sub))
     return CheckResult(True, None)
 
 
@@ -367,15 +368,10 @@ def satisfies_ci(pq: PairProcess, checked_component: int = 1) -> CheckResult:
         return other_v + checked_v if checked_component == 1 else checked_v + other_v
 
     # conditional laws of the checked component given every pair prefix
-    declared: dict[ValuePath, dict[Value, Fraction]] = {}
-    stack = [((), _prefix_class(pq.process, ()))]
-    while stack:
-        prefix, cls = stack.pop()
-        step_law = _class_law(cls)
-        declared[prefix] = _component_law(step_law, d, checked_component)
-        if len(prefix) + 1 < n_steps:
-            for v, sub in _class_children(cls).items():
-                stack.append((prefix + (v,), sub))
+    declared = {
+        prefix: _component_law(step_law, d, checked_component)
+        for prefix, step_law in iter_prefix_laws(pq.process)
+    }
 
     # fibers of the conditioning path
     fibers: dict[ValuePath, dict[ValuePath, Fraction]] = {}

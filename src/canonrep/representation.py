@@ -203,62 +203,80 @@ def law_of_representation(r: CellRepresentation) -> PathLaw:
     return law
 
 
+def follow_cells(
+    node: Optional[RepNode], path: ValuePath
+) -> tuple[list[int], Optional[RepNode]]:
+    """Find cells by value along ``path``, starting at ``node``.
+
+    Returns the indices of the cells followed and the node where the walk
+    stopped.  Fewer indices than values means the walk stopped early:
+    past the last level when the node is None, otherwise because the next
+    value is not a cell of that node.
+    """
+    idx: list[int] = []
+    for v in path:
+        if node is None:
+            break
+        i = next((i for i, cell in enumerate(node.cells) if cell.value == v), None)
+        if i is None:
+            break
+        idx.append(i)
+        node = node.cells[i].child
+    return idx, node
+
+
 def coordinate_recovery(r: CellRepresentation, path: ValuePath) -> tuple[Interval, ...]:
     """Chain of cells whose values spell ``path``.
 
     Evaluating the representation at any point of the returned cells
     reproduces the path.
     """
-    node: Optional[RepNode] = r.root
-    out = []
-    for k, v in enumerate(path):
+    idx, node = follow_cells(r.root, path)
+    k = len(idx)
+    if k < len(path):
         if node is None:
             raise UnreachablePath(
                 f"path longer than representation depth {r.depth}", path=path
             )
-        hit = None
-        for cell in node.cells:
-            if cell.value == v:
-                hit = cell
-                break
-        if hit is None:
-            raise UnreachablePath(
-                f"value {fmt_value(v)} not present at step {k + 1} after "
-                f"{fmt_prefix(tuple(path[:k]))}",
-                path=path,
-                step=k + 1,
-            )
-        out.append(hit.interval)
-        node = hit.child
+        raise UnreachablePath(
+            f"value {fmt_value(path[k])} not present at step {k + 1} after "
+            f"{fmt_prefix(tuple(path[:k]))}",
+            path=path,
+            step=k + 1,
+        )
+    out = []
+    node = r.root
+    for i in idx:
+        out.append(node.cells[i].interval)
+        node = node.cells[i].child
     return tuple(out)
+
+
+def _unreachable_prefix(prefix: ValuePath, depth: int, reached: int, node, **info):
+    """The UnreachablePrefix for a walk that followed ``reached`` values of
+    ``prefix`` and stopped at ``node``; ``info`` is added when a value is
+    missing."""
+    if reached == len(prefix):
+        return UnreachablePrefix(
+            f"prefix of length {len(prefix)} reaches past the last step",
+            prefix=prefix,
+        )
+    if node is None:
+        return UnreachablePrefix(
+            f"prefix of length {len(prefix)} exceeds depth {depth}", prefix=prefix
+        )
+    return UnreachablePrefix(
+        f"value {fmt_value(prefix[reached])} not present at step {reached + 1}",
+        prefix=prefix,
+        **info,
+    )
 
 
 def locate_node(r: CellRepresentation, prefix: ValuePath) -> RepNode:
     """Sub-partition reached by a realizable value prefix."""
-    node: Optional[RepNode] = r.root
-    for k, v in enumerate(prefix):
-        if node is None:
-            raise UnreachablePrefix(
-                f"prefix of length {len(prefix)} exceeds depth {r.depth}",
-                prefix=prefix,
-            )
-        hit = None
-        for cell in node.cells:
-            if cell.value == v:
-                hit = cell
-                break
-        if hit is None:
-            raise UnreachablePrefix(
-                f"value {fmt_value(v)} not present at step {k + 1}",
-                prefix=prefix,
-                step=k + 1,
-            )
-        node = hit.child
-    if node is None:
-        raise UnreachablePrefix(
-            f"prefix of length {len(prefix)} reaches past the last step",
-            prefix=prefix,
-        )
+    idx, node = follow_cells(r.root, prefix)
+    if len(idx) < len(prefix) or node is None:
+        raise _unreachable_prefix(prefix, r.depth, len(idx), node, step=len(idx) + 1)
     return node
 
 
@@ -333,26 +351,10 @@ def evaluate_augmented(a: AugmentedRepresentation, xs) -> tuple[tuple[Value, Fra
 
 def locate_aug_node(a: AugmentedRepresentation, prefix: ValuePath) -> tuple[RepNode, AugNode]:
     """Base node and its mirror of tie-break maps at a value prefix."""
-    node, anode = a.base.root, a.root
-    for k, v in enumerate(prefix):
-        if node is None:
-            raise UnreachablePrefix(
-                f"prefix of length {len(prefix)} exceeds depth {a.base.depth}",
-                prefix=prefix,
-            )
-        idx = None
-        for i, cell in enumerate(node.cells):
-            if cell.value == v:
-                idx = i
-                break
-        if idx is None:
-            raise UnreachablePrefix(
-                f"value {fmt_value(v)} not present at step {k + 1}", prefix=prefix
-            )
-        node, anode = node.cells[idx].child, anode.children[idx]
-    if node is None or anode is None:
-        raise UnreachablePrefix(
-            f"prefix of length {len(prefix)} reaches past the last step",
-            prefix=prefix,
-        )
+    idx, node = follow_cells(a.base.root, prefix)
+    if len(idx) < len(prefix) or node is None:
+        raise _unreachable_prefix(prefix, a.base.depth, len(idx), node)
+    anode = a.root
+    for i in idx:
+        anode = anode.children[i]
     return node, anode

@@ -15,6 +15,12 @@ class ChiSquareResult:
     p_value: float
     pooled: int  # number of low-expectation categories merged into one
 
+    @property
+    def too_small(self) -> bool:
+        """True when pooling merged several categories into a single bucket:
+        nothing is left to test, and the p-value of 1 carries no evidence."""
+        return self.dof == 0 and self.pooled > 1
+
 
 def chi_square_gof(
     observed: np.ndarray, probs: np.ndarray, min_expected: float = 5.0

@@ -53,7 +53,9 @@ from .representation import (
     Interval,
     RepNode,
     canonical_representation,
+    follow_cells,
     locate_aug_node,
+    locate_node,
 )
 
 
@@ -332,13 +334,14 @@ def verify_transport_consistency(
     For every section, random rationals are drawn on the section's lcm
     grid (so all arithmetic stays in integers) and the value of the first
     component at the transported point is compared with the value of the
-    second component at the original point.
+    second component at the original point.  A section history that
+    ``base`` does not realize raises UnreachablePrefix.
     """
     rng = Random(seed)
     d = component_dim
     for tm in maps:
         for s in tm.sections:
-            node = _locate(base, s.history)
+            node = locate_node(base, s.history)
             # the upper ends only take part in the grid, which fixes the points drawn
             scale, (src_los, tgt_los, cums, _, _) = _lcm_grid(
                 [p.source.lo for p in s.pairs],
@@ -370,18 +373,6 @@ def verify_transport_consistency(
     return CheckResult(True, None)
 
 
-def _locate(r: CellRepresentation, prefix: ValuePath) -> RepNode:
-    node = r.root
-    for v in prefix:
-        for cell in node.cells:
-            if cell.value == v:
-                node = cell.child
-                break
-        else:
-            raise KeyError(f"prefix {fmt_prefix(prefix)} not in representation")
-    return node
-
-
 # ---------------------------------------------------------------------------
 # generalized inverse of the augmented evaluation
 
@@ -398,14 +389,14 @@ def generalized_inverse(
     if not (0 <= tie < 1):
         raise XOutOfRange(f"tie-break coordinate {tie} outside [0,1)")
     node, anode = locate_aug_node(a, prefix)
-    for cell, m in zip(node.cells, anode.maps):
-        if cell.value == tuple(value):
-            return m.invert(tie)
-    raise NotAnAtom(
-        f"{fmt_value(tuple(value))} is not an atom at {fmt_prefix(prefix)}",
-        prefix=prefix,
-        value=tuple(value),
-    )
+    idx, _ = follow_cells(node, (tuple(value),))
+    if not idx:
+        raise NotAnAtom(
+            f"{fmt_value(tuple(value))} is not an atom at {fmt_prefix(prefix)}",
+            prefix=prefix,
+            value=tuple(value),
+        )
+    return anode.maps[idx[0]].invert(tie)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,12 @@ def test_lp_norm_scaling():
     assert est2 == pytest.approx(2.5 * est, rel=1e-12)
 
 
+@pytest.mark.parametrize("sums", [np.ones((1, 1)), np.zeros((1, 2))])
+def test_lp_norm_rejects_single_sample(sums):
+    with pytest.raises(ValueError, match="two samples"):
+        lp_norm(sums, 2)
+
+
 def test_lp_norm_degenerate_zero():
     assert lp_norm(np.zeros((10, 1)), 2) == (0.0, 0.0)
 

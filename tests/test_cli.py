@@ -305,6 +305,34 @@ def test_skorohod_byte_deterministic(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_skorohod_sample_too_small_for_chi_square_fails(runner, tmp_path):
+    # two or more paths, but one sample pools every category into one
+    p_path = _gen(runner, tmp_path, seed=4)
+    out = tmp_path / "s.json"
+    res = runner.invoke(
+        main,
+        ["skorohod", "--in", str(p_path), "--samples", "1", "--seed", "0",
+         "--out", str(out)],
+    )
+    assert res.exit_code == 3
+    assert "too small for the chi-square test" in res.output
+    doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
+    assert doc["chi_square"]["dof"] == 0
+    assert doc["chi_square"]["pooled_categories"] > 1
+
+
+def test_skorohod_single_path_law_passes_with_one_sample(runner, tmp_path):
+    p_path = _gen(runner, tmp_path, depth=1, branching=1, seed=4)
+    out = tmp_path / "s.json"
+    res = runner.invoke(
+        main,
+        ["skorohod", "--in", str(p_path), "--samples", "1", "--seed", "0",
+         "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    assert load_json(out)["chi_square"]["pooled_categories"] <= 1
+
+
 def test_skorohod_rejects_non_mds(runner, tmp_path):
     p_path = _gen(runner, tmp_path, mds=False, seed=29)
     from canonrep import is_mds
@@ -356,8 +384,9 @@ def test_skorohod_csv_and_svg(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "args",
-    [["--samples", "0"], ["--p", "1"], ["--p", "nan"], ["--p", "inf"]],
-    ids=["samples-0", "p-1", "p-nan", "p-inf"],
+    [["--samples", "0"], ["--samples", "1"], ["--p", "1"], ["--p", "nan"],
+     ["--p", "inf"]],
+    ids=["samples-0", "samples-1", "p-1", "p-nan", "p-inf"],
 )
 def test_bench_rejects_bad_parameters(runner, tmp_path, args):
     p_path = _gen(runner, tmp_path)

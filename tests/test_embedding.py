@@ -130,10 +130,13 @@ def test_grid_batch_matches_simulate_f(mds_rep, monkeypatch, scheme, count):
     grid = np.array([0.2, 0.5, 0.8, 1.2, 1.5, 1.8])
     paths = [simulate_F(mds_rep, grid, cfg, path_index=m) for m in range(count)]
     checks = []
-    check_mds = embedding._check_mds
-    monkeypatch.setattr(
-        embedding, "_check_mds", lambda rep: checks.append(check_mds(rep))
-    )
+    verify = embedding.verify_zero_sections
+
+    def counted(rep):
+        checks.append(rep)
+        return verify(rep)
+
+    monkeypatch.setattr(embedding, "verify_zero_sections", counted)
     values, increments, restarts = simulate_grid_batch(mds_rep, grid, count, cfg)
     assert len(checks) == 1  # the tree is verified once per batch, not per path
     assert np.array_equal(values, np.stack([p.values for p in paths]))
@@ -163,6 +166,21 @@ def test_step_too_coarse_raises(mds_rep):
     cfg = BrownianConfig(seed=31, scheme="euler", dt_base=2e-3)
     with pytest.raises(StepTooCoarse):
         simulate_increments(mds_rep, 60, cfg)
+
+
+def test_step_too_coarse_raises_for_every_sampler(mds_rep):
+    # at dt 2e-3 a block cannot last the minimum number of steps
+    cfg = BrownianConfig(seed=31, scheme="euler", dt_base=2e-3)
+    grid = [0.5, 1.5]
+    for run in (
+        lambda: simulate_increments(mds_rep, 5, cfg),
+        lambda: simulate_grid_batch(mds_rep, grid, 5, cfg),
+        lambda: simulate_F(mds_rep, grid, cfg),
+    ):
+        with pytest.raises(StepTooCoarse, match="blocks exited in fewer than") as info:
+            run()
+        assert set(info.value.info) == {"coarse", "total"}
+        assert info.value.info["coarse"] >= 0.01 * info.value.info["total"] > 0
 
 
 def test_euler_exit_angles_uniform(mds_rep):

@@ -1,0 +1,494 @@
+"""The shared prefix-law traversal and find-cell-by-value walk, checked
+against the earlier one-walk-per-check implementations kept below as
+references: same verdicts and same witnesses, compared by repr so the
+witness types must match too."""
+
+import hashlib
+import json
+import math
+from fractions import Fraction as F
+from random import Random
+
+import numpy as np
+import pytest
+
+from canonrep import (
+    Branch,
+    CheckResult,
+    FiniteProcess,
+    Node,
+    NotAnAtom,
+    PairProcess,
+    SizeGuard,
+    UnreachablePath,
+    UnreachablePrefix,
+    are_tangent,
+    augment,
+    build_transport,
+    canonical_representation,
+    conditional_law,
+    construct_ci_copy,
+    coordinate_recovery,
+    generalized_inverse,
+    is_mds,
+    iter_prefix_laws,
+    pair_from_identical,
+    pair_law,
+    random_dyadic_mds,
+    random_independent_process,
+    random_process,
+    random_tangent_pair,
+    represent_mds,
+    satisfies_ci,
+    swap_components,
+    verify_transport_consistency,
+)
+from canonrep.harmonic import arc_function, compile_disk
+from canonrep.jsonio import process_to_json
+from canonrep.martingale import component_conditional_means
+from canonrep.representation import locate_aug_node, locate_node
+from canonrep.transport import SectionTransport, TransportMap
+
+from conftest import leaf
+
+ZERO, ONE = F(0), F(1)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: one prefix-class walk per check
+
+def ref_class_law(cls):
+    law = {}
+    for node, w in cls:
+        for br in node.branches:
+            law[br.value] = law.get(br.value, ZERO) + w * br.prob
+    return law
+
+
+def ref_class_children(cls):
+    out, totals = {}, {}
+    for node, w in cls:
+        for br in node.branches:
+            out.setdefault(br.value, []).append((br.child, w * br.prob))
+            totals[br.value] = totals.get(br.value, ZERO) + w * br.prob
+    return {v: [(n, w / totals[v]) for n, w in sub] for v, sub in out.items()}
+
+
+def ref_walk(p):
+    """(prefix, class) in the order of the reference checks' stack."""
+    stack = [((), [(p.root, ONE)])]
+    while stack:
+        prefix, cls = stack.pop()
+        yield prefix, cls
+        if len(prefix) + 1 < p.depth:
+            for v, sub in ref_class_children(cls).items():
+                stack.append((prefix + (v,), sub))
+
+
+def ref_component_law(law, d, which):
+    out = {}
+    for v, q in law.items():
+        part = v[:d] if which == 0 else v[d:]
+        out[part] = out.get(part, ZERO) + q
+    return out
+
+
+def ref_is_mds(p):
+    zero = (ZERO,) * p.dimension
+    for prefix, cls in ref_walk(p):
+        mean = zero
+        for v, q in ref_class_law(cls).items():
+            mean = tuple(x + y for x, y in zip(mean, tuple(q * c for c in v)))
+        if mean != zero:
+            return CheckResult(False, {"prefix": prefix, "mean": mean})
+    return CheckResult(True, None)
+
+
+def ref_are_tangent(pq):
+    d = pq.component_dim
+    for prefix, cls in ref_walk(pq.process):
+        law = ref_class_law(cls)
+        f_law = ref_component_law(law, d, 0)
+        g_law = ref_component_law(law, d, 1)
+        if f_law != g_law:
+            return CheckResult(
+                False,
+                {
+                    "prefix": prefix,
+                    "first_law": sorted(f_law.items()),
+                    "second_law": sorted(g_law.items()),
+                },
+            )
+    return CheckResult(True, None)
+
+
+def ref_component_conditional_means(pq, which):
+    d = pq.component_dim
+    zero = (ZERO,) * d
+    for prefix, cls in ref_walk(pq.process):
+        mean = list(zero)
+        for v, q in ref_class_law(cls).items():
+            part = v[:d] if which == 0 else v[d:]
+            for i, c in enumerate(part):
+                mean[i] += q * c
+        if tuple(mean) != zero:
+            return CheckResult(False, {"prefix": prefix, "mean": tuple(mean)})
+    return CheckResult(True, None)
+
+
+def ref_satisfies_ci(pq, checked_component=1):
+    d = pq.component_dim
+    n_steps = pq.process.depth
+    law = {}
+
+    def walk(node, path, prob):
+        for br in node.branches:
+            q = prob * br.prob
+            full = path + (br.value,)
+            if br.child is None:
+                law[full] = law.get(full, ZERO) + q
+            else:
+                walk(br.child, full, q)
+
+    walk(pq.process.root, (), ONE)
+
+    def split_path(path):
+        f = tuple(v[:d] for v in path)
+        g = tuple(v[d:] for v in path)
+        return (f, g) if checked_component == 1 else (g, f)
+
+    def join_step(other_v, checked_v):
+        return other_v + checked_v if checked_component == 1 else checked_v + other_v
+
+    declared = {}
+    for prefix, cls in ref_walk(pq.process):
+        declared[prefix] = ref_component_law(ref_class_law(cls), d, checked_component)
+
+    fibers = {}
+    for path, prob in law.items():
+        other, checked = split_path(path)
+        inner = fibers.setdefault(other, {})
+        inner[checked] = inner.get(checked, ZERO) + prob
+
+    for other, cond in fibers.items():
+        total = sum(cond.values(), ZERO)
+        cond = {b: q / total for b, q in cond.items()}
+        margs = [dict() for _ in range(n_steps)]
+        for b, q in cond.items():
+            for n in range(n_steps):
+                margs[n][b[n]] = margs[n].get(b[n], ZERO) + q
+        support_product = 1
+        for m in margs:
+            support_product *= len(m)
+        if len(cond) != support_product:
+            return CheckResult(
+                False,
+                {
+                    "kind": "factorization-support",
+                    "conditioning_path": other,
+                    "joint_support": len(cond),
+                    "product_support": support_product,
+                },
+            )
+        for b, q in cond.items():
+            prod = ONE
+            for n in range(n_steps):
+                prod *= margs[n][b[n]]
+            if q != prod:
+                return CheckResult(
+                    False,
+                    {
+                        "kind": "factorization",
+                        "conditioning_path": other,
+                        "checked_path": b,
+                        "joint": q,
+                        "product": prod,
+                    },
+                )
+        seen = set()
+        for b in cond:
+            for n in range(n_steps):
+                pair_prefix = tuple(join_step(other[k], b[k]) for k in range(n))
+                key = (n, pair_prefix)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if margs[n] != declared[pair_prefix]:
+                    return CheckResult(
+                        False,
+                        {
+                            "kind": "step-law",
+                            "conditioning_path": other,
+                            "step": n + 1,
+                            "pair_prefix": pair_prefix,
+                            "given_path": sorted(margs[n].items()),
+                            "given_history": sorted(declared[pair_prefix].items()),
+                        },
+                    )
+    return CheckResult(True, None)
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+
+def _coarsen(p: FiniteProcess) -> FiniteProcess:
+    """Round every coordinate down to an integer, so siblings share values
+    and every law has to aggregate equal values on distinct branches."""
+
+    def walk(node):
+        return Node(
+            tuple(
+                Branch(
+                    tuple(F(math.floor(c)) for c in br.value),
+                    br.prob,
+                    walk(br.child) if br.child is not None else None,
+                )
+                for br in node.branches
+            )
+        )
+
+    return FiniteProcess(p.dimension, p.depth, walk(p.root))
+
+
+def _behind_zero(p: FiniteProcess) -> PairProcess:
+    """Pair whose first component is constantly zero, so condition (C.I.)
+    asks the second component itself to have independent steps."""
+
+    def walk(node):
+        return Node(
+            tuple(
+                Branch(
+                    (ZERO,) * p.dimension + br.value,
+                    br.prob,
+                    walk(br.child) if br.child is not None else None,
+                )
+                for br in node.branches
+            )
+        )
+
+    return PairProcess(FiniteProcess(2 * p.dimension, p.depth, walk(p.root)), p.dimension)
+
+
+def _processes(n=40, seed=5):
+    rng = Random(seed)
+    out = []
+    for _ in range(n):
+        depth, branching, dim = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 2)
+        s = rng.randrange(10**9)
+        out.append(random_process(depth, branching, dim, s, mds=rng.random() < 0.5))
+        out.append(_coarsen(random_process(depth, branching, dim, s)))
+    out.append(random_independent_process(3, 3, 1, rng.randrange(10**9), mds=True))
+    out.append(random_dyadic_mds(3, 2, 1, rng.randrange(10**9)))
+    return out
+
+
+def _pairs(n=25, seed=7):
+    rng = Random(seed)
+    out = []
+    for _ in range(n):
+        depth, branching = rng.randint(1, 3), rng.randint(1, 3)
+        s = rng.randrange(10**9)
+        generic = PairProcess(random_process(depth, branching, 2, s), 1)
+        tangent = random_tangent_pair(depth, branching, 1, s)
+        mds = represent_mds(random_process(depth, branching, 1, s, mds=True))
+        decoupled = pair_law(construct_ci_copy(mds))
+        coarse = PairProcess(_coarsen(random_process(depth, branching, 2, s)), 1)
+        identical = pair_from_identical(random_process(depth, branching, 1, s, mds=True))
+        lifted = _behind_zero(random_process(depth, branching, 1, s))
+        for pq in (generic, tangent, decoupled, coarse, identical, lifted):
+            out.extend([pq, swap_components(pq)])
+    # equal second-step supports, history-dependent weights
+    skewed = FiniteProcess(1, 2, Node((
+        Branch((F(-1),), F(1, 2), leaf(((F(0),), F(1, 3)), ((F(1),), F(2, 3)))),
+        Branch((F(1),), F(1, 2), leaf(((F(0),), F(2, 3)), ((F(1),), F(1, 3)))),
+    )))
+    out.append(_behind_zero(skewed))
+    return out
+
+
+PROCESSES = _processes()
+PAIRS = _pairs()
+
+
+def test_inputs_reach_both_verdicts():
+    assert {is_mds(p).ok for p in PROCESSES} == {True, False}
+    assert {are_tangent(pq).ok for pq in PAIRS} == {True, False}
+    assert {satisfies_ci(pq).ok for pq in PAIRS} == {True, False}
+    kinds = {satisfies_ci(pq).witness["kind"] for pq in PAIRS if not satisfies_ci(pq).ok}
+    assert kinds == {"factorization-support", "factorization", "step-law"}
+
+
+def test_iter_prefix_laws_matches_reference_walk():
+    for p in PROCESSES + [pq.process for pq in PAIRS]:
+        got = [(prefix, law) for prefix, law in iter_prefix_laws(p)]
+        want = [(prefix, ref_class_law(cls)) for prefix, cls in ref_walk(p)]
+        assert repr(got) == repr(want)
+
+
+def test_is_mds_matches_reference():
+    for p in PROCESSES:
+        assert repr(is_mds(p)) == repr(ref_is_mds(p))
+
+
+def test_conditional_law_matches_reference():
+    for p in PROCESSES:
+        for prefix, cls in ref_walk(p):
+            assert conditional_law(p, prefix) == sorted(ref_class_law(cls).items())
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_pair_checks_match_reference(which):
+    for pq in PAIRS:
+        assert repr(are_tangent(pq)) == repr(ref_are_tangent(pq))
+        assert repr(component_conditional_means(pq, which)) == repr(
+            ref_component_conditional_means(pq, which)
+        )
+        assert repr(satisfies_ci(pq, which)) == repr(ref_satisfies_ci(pq, which))
+
+
+# ---------------------------------------------------------------------------
+# find-cell-by-value callers keep their own exception types
+
+@pytest.fixture(scope="module")
+def rep():
+    return canonical_representation(random_process(2, 3, 1, seed=21))
+
+
+def _raises(exc_type, fn, *args):
+    with pytest.raises(exc_type) as info:
+        fn(*args)
+    assert type(info.value) is exc_type
+    return info.value.info
+
+
+def test_locate_node_unreachable(rep):
+    first = rep.root.cells[0].value
+    missing = (F(99),)
+    info = _raises(UnreachablePrefix, locate_node, rep, (missing,))
+    assert set(info) == {"prefix", "step"} and info["step"] == 1
+    assert set(_raises(UnreachablePrefix, locate_node, rep, (first, missing))) == {
+        "prefix", "step"}
+    child = rep.root.cells[0].child.cells[0].value
+    assert set(_raises(UnreachablePrefix, locate_node, rep, (first, child))) == {"prefix"}
+    assert set(_raises(UnreachablePrefix, locate_node, rep, (first, child, missing))) == {
+        "prefix"}
+
+
+def test_locate_aug_node_unreachable(rep):
+    a = augment(rep)
+    first = rep.root.cells[0].value
+    child = rep.root.cells[0].child.cells[0].value
+    assert set(_raises(UnreachablePrefix, locate_aug_node, a, ((F(99),),))) == {"prefix"}
+    assert set(_raises(UnreachablePrefix, locate_aug_node, a, (first, child))) == {"prefix"}
+    node, anode = locate_aug_node(a, (first,))
+    assert node is rep.root.cells[0].child
+    assert anode is a.root.children[0]
+
+
+def test_coordinate_recovery_unreachable(rep):
+    first = rep.root.cells[0].value
+    child = rep.root.cells[0].child.cells[0].value
+    info = _raises(UnreachablePath, coordinate_recovery, rep, (first, (F(99),)))
+    assert set(info) == {"path", "step"} and info["step"] == 2
+    too_long = (first, child, first)
+    assert set(_raises(UnreachablePath, coordinate_recovery, rep, too_long)) == {"path"}
+    assert coordinate_recovery(rep, (first, child)) == (
+        rep.root.cells[0].interval, rep.root.cells[0].child.cells[0].interval)
+
+
+def test_generalized_inverse_unreachable(rep):
+    a = augment(rep)
+    info = _raises(NotAnAtom, generalized_inverse, a, (), (F(99),), F(1, 2))
+    assert set(info) == {"prefix", "value"}
+    _raises(UnreachablePrefix, generalized_inverse, a, ((F(99),),), (F(0),), F(1, 2))
+
+
+def test_arc_function_unreachable(rep):
+    _raises(UnreachablePrefix, arc_function, rep, ((F(99),),))
+
+
+def test_transport_consistency_unknown_history_raises():
+    pq = random_tangent_pair(2, 3, 1, seed=4)
+    base = canonical_representation(pq.process)
+    maps = build_transport(pq, base)
+    section = maps[1].sections[0]
+    stray = SectionTransport(((F(99), F(99)),), section.pairs)
+    bad = [maps[0], TransportMap(2, (stray,))]
+    info = _raises(UnreachablePrefix, verify_transport_consistency, base, bad, 1)
+    assert info["prefix"] == stray.history
+
+
+# ---------------------------------------------------------------------------
+# one compiled tree
+
+def test_compiled_tree_matches_arc_function_and_cells():
+    rep = represent_mds(random_process(3, 4, 2, seed=8, mds=True))
+
+    def walk(compiled, node, prefix):
+        assert np.array_equal(compiled.bounds, [float(c) for c in node.cums[1:-1]])
+        assert np.array_equal(
+            compiled.values, [[float(c) for c in cell.value] for cell in node.cells]
+        )
+        arcs = arc_function(rep, prefix)
+        assert compiled.arcs.dimension == arcs.dimension
+        bounds = [(a.lo, a.hi) for a in arcs.arcs]
+        assert [(a.lo, a.hi) for a in compiled.arcs.arcs] == bounds
+        for got, want in zip(compiled.arcs.arcs, arcs.arcs):
+            assert np.array_equal(got.value, want.value)
+        for sub, cell in zip(compiled.children, node.cells):
+            if cell.child is None:
+                assert sub is None
+            else:
+                walk(sub, cell.child, prefix + (cell.value,))
+
+    walk(compile_disk(rep), rep.root, ())
+
+
+# ---------------------------------------------------------------------------
+# generators: one guard, one node-law draw, unchanged bytes
+
+# sha256 of json.dumps(process_to_json(...), sort_keys=True), recorded
+# before the generators shared their node-law draw
+GENERATOR_DIGESTS = {
+    "random_process(3, 4, 1, 5)": (
+        lambda: random_process(3, 4, 1, 5),
+        "4dcd39d63fa36a8728af18dd8da5e8be406d9dbc3d0c3f9350ba05974ff2b181"),
+    "random_process(4, 4, 2, 7, mds=True)": (
+        lambda: random_process(4, 4, 2, 7, mds=True),
+        "7a9432329b3f141be6c529eaffd00481b45cf10a997eb8a4369416ea2c46bfe5"),
+    "random_independent_process(3, 3, 1, 9)": (
+        lambda: random_independent_process(3, 3, 1, 9),
+        "68f258043434035c51f5385ee3d8ca7e76ae8af8e22bfdee77fa48363c17cb7b"),
+    "random_independent_process(4, 4, 2, 11, mds=True)": (
+        lambda: random_independent_process(4, 4, 2, 11, mds=True),
+        "6059fdeabf8b2cd2f0bf4d9db42e20c04e16fb4821b6aa79e8ef3e69593dbfee"),
+    "random_tangent_pair(3, 3, 1, 13)": (
+        lambda: random_tangent_pair(3, 3, 1, 13).process,
+        "3de9f97becb5b3b14911c3d66622d9070d9f5ae612242fcef849332b0bc8befa"),
+    "random_dyadic_mds(3, 2, 2, 17)": (
+        lambda: random_dyadic_mds(3, 2, 2, 17),
+        "abbde59f3db10f6607b80daabc865424e2cc1baf3a9b0e3c85abb077ce05d6bc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
+def test_generator_bytes_unchanged(name):
+    make, digest = GENERATOR_DIGESTS[name]
+    blob = json.dumps(process_to_json(make()), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_process(2, 2, 0, seed=1),
+        lambda: random_independent_process(2, 2, 0, seed=1),
+        lambda: random_tangent_pair(2, 2, 0, seed=1),
+        lambda: random_dyadic_mds(2, 2, 0, seed=1),  # looped forever before
+        lambda: random_dyadic_mds(2, 1, 0, seed=1),
+        lambda: random_dyadic_mds(2, 1, -1, seed=1),
+    ],
+)
+def test_generators_reject_dimension_below_one(make):
+    with pytest.raises(SizeGuard, match="dimension"):
+        make()

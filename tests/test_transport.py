@@ -167,7 +167,7 @@ def test_transport_agrees_with_generalized_inverse_route():
     # and u's relative rank within the mass carrying that value
     from canonrep import random_tangent_pair
     from canonrep.representation import Cell, CellRepresentation, _make_rep_node
-    from canonrep.transport import _locate
+    from canonrep.representation import locate_node
 
     rng = Random(29)
     for _ in range(5):
@@ -177,7 +177,7 @@ def test_transport_agrees_with_generalized_inverse_route():
         d = pq.component_dim
         for tm in maps:
             for section in tm.sections:
-                node = _locate(base, section.history)
+                node = locate_node(base, section.history)
                 # depth-1 representation of the first component's step
                 groups: dict = {}
                 for cell in node.cells:
