@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateBatch
-from .harmonic import compile_disk
+from .harmonic import compile_disk, walk_uniforms
 from .jsonio import representation_to_json
 from .martingale import (
     DecoupledRepresentation,
@@ -31,7 +31,8 @@ from .martingale import (
 )
 from .process import ONE, ZERO
 from .representation import CellRepresentation
-from .rng import GENERATOR_ID, path_stream
+# path_stream stays importable from here; bench/spans.py wraps it in this namespace
+from .rng import GENERATOR_ID, path_stream, path_uniforms  # noqa: F401
 
 
 def _rep_id(rep: CellRepresentation) -> str:
@@ -78,27 +79,14 @@ def sample_paths(
         raise ValueError("count must be at least 1")
     decoupled = isinstance(source, DecoupledRepresentation)
     rep = source.base if decoupled else source
-    root = compile_disk(rep)
-    depth, dim = rep.depth, rep.dimension
-    src_id = _rep_id(rep)
-
-    direct = np.empty((count, depth, dim))
-    copy = np.empty((count, depth, dim)) if decoupled else None
-    for m in range(count):
-        rng = path_stream(seed, m)
-        xs = rng.random(depth)
-        ys = rng.random(depth) if decoupled else None
-        node = root
-        for k in range(depth):
-            i = int(np.searchsorted(node.bounds, xs[k], side="right"))
-            direct[m, k] = node.values[i]
-            if decoupled:
-                j = int(np.searchsorted(node.bounds, ys[k], side="right"))
-                copy[m, k] = node.values[j]
-            node = node.children[i]
+    depth = rep.depth
+    u = path_uniforms(seed, 0, count, 2 * depth if decoupled else depth)
+    direct, copy = walk_uniforms(
+        compile_disk(rep), u[:, :depth], u[:, depth:] if decoupled else None
+    )
     if decoupled:
-        return PairSampleBatch(direct, copy, seed, src_id)
-    return SampleBatch(direct, seed, src_id)
+        return PairSampleBatch(direct, copy, seed, _rep_id(rep))
+    return SampleBatch(direct, seed, _rep_id(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +165,7 @@ class RatioReport:
     exact_ratio: Optional[float]
     norm_direct: tuple[float, float]
     norm_decoupled: tuple[float, float]
+    sums: tuple[np.ndarray, np.ndarray]  # per-path sums (direct, decoupled)
     generator: str = GENERATOR_ID
 
 
@@ -193,7 +182,9 @@ def decoupling_ratio(
     """Monte Carlo estimate of |sum e|_p / |sum d|_p for the decoupled copy.
 
     The exact enumeration oracle fills in ``exact_ratio`` whenever p is an
-    even integer and the tree is small enough to enumerate.
+    even integer and the tree is small enough to enumerate.  The report
+    keeps the per-path sums it was computed from, so they can be written
+    out without sampling again.
     """
     verify_zero_sections(rep).require_zero()
     batch = sample_paths(construct_ci_copy(rep), count, seed)
@@ -225,6 +216,7 @@ def decoupling_ratio(
         exact_ratio=exact,
         norm_direct=(est_d, se_d),
         norm_decoupled=(est_e, se_e),
+        sums=(sums_d, sums_e),
     )
 
 

@@ -261,9 +261,7 @@ def bench(
     }
     dump_json(doc, out_path)
     if csv_path is not None:
-        batch = bench_mod.sample_paths(construct_ci_copy(rep), samples, seed)
-        sums_d = batch.direct.sum(axis=1)
-        sums_e = batch.decoupled.sum(axis=1)
+        sums_d, sums_e = report.sums
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             dim = rep.dimension
@@ -291,14 +289,19 @@ def bench(
 # skorohod
 
 def _parse_grid(grid_arg: str, depth: int) -> np.ndarray:
-    if "," in grid_arg:
-        times = np.array([float(x) for x in grid_arg.split(",") if x.strip() != ""])
-    else:
-        per_block = int(grid_arg)
-        if per_block < 1:
-            raise FormatError("grid must name at least one point per block")
-        rel = (np.arange(per_block) + 0.5) / per_block
-        times = np.concatenate([n + rel for n in range(depth)])
+    try:
+        if "," in grid_arg:
+            times = np.array([float(x) for x in grid_arg.split(",") if x.strip() != ""])
+        else:
+            per_block = int(grid_arg)
+            if per_block < 1:
+                raise FormatError("grid must name at least one point per block")
+            rel = (np.arange(per_block) + 0.5) / per_block
+            times = np.concatenate([n + rel for n in range(depth)])
+    except ValueError as exc:
+        raise FormatError(f"cannot parse grid {grid_arg!r}: {exc}") from exc
+    if times.size == 0:
+        raise FormatError("grid must name at least one time")
     return times
 
 
@@ -343,36 +346,36 @@ def skorohod(
     cfg = emb.BrownianConfig(
         dt_base=dt, seed=seed, scheme=scheme, phi_cap=cap
     )
-    batch = emb.simulate_increments(rep, samples, cfg)
+    need_grid = csv_path is not None or svg_path is not None or samples >= 10**4
+    times = _parse_grid(grid, rep.depth) if need_grid else None
+    # one pass: the first 10^4 paths carry the grid, the rest only increments
+    batch, values = emb._simulate_batch(
+        rep, samples, cfg, times, min(samples, 10**4) if need_grid else 0
+    )
     chi = increment_chi_square(rep, batch.increments)
 
     martingale_doc = None
     mart_ok = True
-    need_grid = csv_path is not None or svg_path is not None or samples >= 10**4
-    values = times = None
-    if need_grid:
-        times = _parse_grid(grid, rep.depth)
-        values, _, _ = emb.simulate_grid_batch(rep, times, min(samples, 10**4), cfg)
-        if values.shape[0] >= 10**4:
-            report = emb.martingale_check(values, times)
-            mart_ok = report.mean_ok() and report.slopes_ok()
-            martingale_doc = {
-                "checkpoints": [float(t) for t in report.checkpoints],
-                "max_mean_over_se": report.max_mean_over_se,
-                "slopes": [
-                    {
-                        "t_from": s.t_from,
-                        "t_to": s.t_to,
-                        "coordinate": s.coordinate,
-                        "slope": s.slope,
-                        "stderr": s.stderr,
-                        "note": s.note,
-                    }
-                    for s in report.slopes
-                ],
-                "mean_ok": report.mean_ok(),
-                "slopes_ok": report.slopes_ok(),
-            }
+    if samples >= 10**4:  # then the grid holds 10^4 paths, the check's minimum
+        report = emb.martingale_check(values, times)
+        mart_ok = report.mean_ok() and report.slopes_ok()
+        martingale_doc = {
+            "checkpoints": [float(t) for t in report.checkpoints],
+            "max_mean_over_se": report.max_mean_over_se,
+            "slopes": [
+                {
+                    "t_from": s.t_from,
+                    "t_to": s.t_to,
+                    "coordinate": s.coordinate,
+                    "slope": s.slope,
+                    "stderr": s.stderr,
+                    "note": s.note,
+                }
+                for s in report.slopes
+            ],
+            "mean_ok": report.mean_ok(),
+            "slopes_ok": report.slopes_ok(),
+        }
 
     doc = {
         "format_version": FORMAT_VERSION,

@@ -37,10 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import StepTooCoarse, XOutOfRange
-from .harmonic import TAU, DiskNode, compile_disk, harmonic_extension
+from .harmonic import TAU, DiskNode, compile_disk, harmonic_extension, walk_uniforms
 from .martingale import verify_zero_sections
 from .representation import CellRepresentation
-from .rng import GENERATOR_ID, path_stream
+from .rng import GENERATOR_ID, path_stream, path_uniforms
 
 _CHUNK = 4096
 MIN_STEPS_BEFORE_EXIT = 1000
@@ -217,6 +217,115 @@ def _grid_by_block(grid: np.ndarray, depth: int) -> list[list[tuple[int, float]]
     return per_block
 
 
+@dataclass
+class _PathRange:
+    """Paths ``start .. stop - 1`` of a batch, before any guard."""
+
+    increments: np.ndarray  # (paths, depth, dim)
+    angles: np.ndarray  # (paths, depth)
+    exit_times: Optional[np.ndarray]  # (paths, depth); None under exit_sample
+    values: Optional[np.ndarray]  # (paths, grid points, dim); None without a grid
+    restarts: int = 0
+    coarse: int = 0
+
+
+def _simulate_range(
+    rep: CellRepresentation,
+    root: DiskNode,
+    cfg: BrownianConfig,
+    start: int,
+    stop: int,
+    per_block: Optional[list[list[tuple[int, float]]]] = None,
+) -> _PathRange:
+    """Simulate paths ``start`` to ``stop - 1`` of the checked tree ``rep``
+    compiled to ``root`` and, given a grid split by ``_grid_by_block``,
+    their grid values.  Path m draws only from the streams keyed by
+    (cfg.seed, m), so a range has the bytes the same paths have inside
+    any larger batch.  The caller applies the coarse-step guard.
+    """
+    depth, dim = rep.depth, rep.dimension
+    count = max(stop - start, 0)
+    n_grid = sum(len(block) for block in per_block) if per_block is not None else 0
+    if cfg.scheme == "euler":
+        out = _PathRange(
+            np.empty((count, depth, dim)),
+            np.empty((count, depth)),
+            np.empty((count, depth)),
+            np.empty((count, n_grid, dim)) if per_block is not None else None,
+        )
+        sigmas = _step_sigmas(cfg)
+        for i in range(count):
+            _euler_path(root, cfg, sigmas, start + i, per_block, out, i)
+        return out
+
+    us = path_uniforms(cfg.seed, start, stop, depth)
+    increments, _ = walk_uniforms(root, us)
+    values = None
+    if per_block is not None:
+        # start-of-block sums for all paths at once, accumulated from zero
+        # as (0 + x_1) + x_2 + ..., so the bytes match a per-path running
+        # sum, signed zeros included
+        values = np.empty((count, n_grid, dim))
+        partial = np.zeros((count, dim))
+        for n, block in enumerate(per_block):
+            for gi, _rel in block:
+                values[:, gi] = partial
+            partial = partial + increments[:, n]
+    return _PathRange(increments, np.multiply(us, TAU, out=us), None, values)
+
+
+def _euler_path(
+    root: DiskNode,
+    cfg: BrownianConfig,
+    sigmas: np.ndarray,
+    path_index: int,
+    per_block: Optional[list[list[tuple[int, float]]]],
+    out: _PathRange,
+    row: int,
+) -> None:
+    """Fill row ``row`` of ``out`` with path ``path_index`` under the euler
+    scheme and add its restarts and coarse blocks to ``out``."""
+    node: Optional[DiskNode] = root
+    partial = np.zeros(out.increments.shape[2])
+    for n in range(out.increments.shape[1]):
+        wanted_rel = per_block[n] if per_block is not None else []
+        wanted = sorted(
+            {min(int(rel / cfg.dt_base), len(sigmas)) for _gi, rel in wanted_rel}
+        )
+        res = _euler_block(
+            lambda attempt, n=n: path_stream(
+                cfg.seed, path_index, sub=n * _MAX_ATTEMPTS + attempt
+            ),
+            sigmas,
+            cfg.dt_base,
+            wanted,
+        )
+        out.restarts += res.attempts - 1
+        if res.steps < MIN_STEPS_BEFORE_EXIT:
+            out.coarse += 1
+        cell = int(np.searchsorted(node.bounds, res.angle / TAU, side="right"))
+        increment = node.values[cell]
+        out.increments[row, n] = increment
+        out.angles[row, n] = res.angle
+        out.exit_times[row, n] = n + res.rel_time
+        for gi, rel in wanted_rel:
+            if rel < res.rel_time:
+                m = min(int(rel / cfg.dt_base), len(sigmas))
+                px, py = res.positions[m]
+                z = complex(px, py)
+                r = abs(z)
+                cap = 1.0 - cfg.boundary_eps
+                if r >= cap:
+                    z *= cap * (1.0 - 1e-12) / r
+                out.values[row, gi] = partial + harmonic_extension(
+                    node.arcs, z, cfg.boundary_eps
+                )
+            else:
+                out.values[row, gi] = partial + increment
+        partial = partial + increment
+        node = node.children[cell]
+
+
 def simulate_F(
     rep: CellRepresentation,
     grid,
@@ -233,94 +342,21 @@ def simulate_F(
     """
     verify_zero_sections(rep).require_zero()
     grid = np.asarray(grid, dtype=float)
-    path = _simulate_path(
-        rep, compile_disk(rep), grid, _grid_by_block(grid, rep.depth), cfg, path_index
+    path = _simulate_range(
+        rep, compile_disk(rep), cfg, path_index, path_index + 1,
+        _grid_by_block(grid, rep.depth),
     )
-    _coarse_guard(path.coarse_blocks, rep.depth)
-    return path
-
-
-def _simulate_path(
-    rep: CellRepresentation,
-    root: DiskNode,
-    grid: np.ndarray,
-    per_block: list[list[tuple[int, float]]],
-    cfg: BrownianConfig,
-    path_index: int,
-) -> EmbeddedPath:
-    """One path of ``simulate_F`` on the checked tree ``rep`` compiled to
-    ``root``, with ``grid`` already split by ``_grid_by_block``; the
-    caller applies the coarse-step guard."""
-    depth, dim = rep.depth, rep.dimension
-    increments = np.zeros((depth, dim))
-    exit_points = np.zeros(depth)
-    exit_times = np.full(depth, math.nan)
-    values = np.zeros((len(grid), dim))
-    restarts = 0
-    coarse = 0
-
-    node: Optional[DiskNode] = root
-    partial = np.zeros(dim)
-
-    if cfg.scheme == "exit_sample":
-        rng = path_stream(cfg.seed, path_index)
-        us = rng.random(depth)
-        for n in range(depth):
-            for gi, _rel in per_block[n]:
-                values[gi] = partial
-            cell = int(np.searchsorted(node.bounds, us[n], side="right"))
-            increments[n] = node.values[cell]
-            exit_points[n] = TAU * us[n]
-            partial = partial + increments[n]
-            node = node.children[cell]
-    else:
-        sigmas = _step_sigmas(cfg)
-        for n in range(depth):
-            wanted_rel = per_block[n]
-            wanted = sorted(
-                {min(int(rel / cfg.dt_base), len(sigmas)) for _gi, rel in wanted_rel}
-            )
-            res = _euler_block(
-                lambda attempt, n=n: path_stream(
-                    cfg.seed, path_index, sub=n * _MAX_ATTEMPTS + attempt
-                ),
-                sigmas,
-                cfg.dt_base,
-                wanted,
-            )
-            restarts += res.attempts - 1
-            if res.steps < MIN_STEPS_BEFORE_EXIT:
-                coarse += 1
-            angle = res.angle
-            cell = int(np.searchsorted(node.bounds, angle / TAU, side="right"))
-            increments[n] = node.values[cell]
-            exit_points[n] = angle
-            exit_times[n] = n + res.rel_time
-            for gi, rel in wanted_rel:
-                if rel < res.rel_time:
-                    m = min(int(rel / cfg.dt_base), len(sigmas))
-                    px, py = res.positions[m]
-                    z = complex(px, py)
-                    r = abs(z)
-                    cap = 1.0 - cfg.boundary_eps
-                    if r >= cap:
-                        z *= cap * (1.0 - 1e-12) / r
-                    values[gi] = partial + harmonic_extension(
-                        node.arcs, z, cfg.boundary_eps
-                    )
-                else:
-                    values[gi] = partial + increments[n]
-            partial = partial + increments[n]
-            node = node.children[cell]
-
+    _coarse_guard(path.coarse, rep.depth)
     return EmbeddedPath(
         times=grid,
-        values=values,
-        increments=increments,
-        exit_points=exit_points,
-        exit_times=exit_times,
-        restarts=restarts,
-        coarse_blocks=coarse,
+        values=path.values[0],
+        increments=path.increments[0],
+        exit_points=path.angles[0],
+        exit_times=(
+            np.full(rep.depth, math.nan) if path.exit_times is None else path.exit_times[0]
+        ),
+        restarts=path.restarts,
+        coarse_blocks=path.coarse,
         scheme=cfg.scheme,
         seed=cfg.seed,
         path_index=path_index,
@@ -336,54 +372,7 @@ def simulate_increments(
     exited in fewer than the minimum number of steps.
     """
     verify_zero_sections(rep).require_zero()
-    root = compile_disk(rep)
-    depth, dim = rep.depth, rep.dimension
-    increments = np.empty((count, depth, dim))
-    angles = np.empty((count, depth))
-    restarts = 0
-    coarse = 0
-
-    if cfg.scheme == "exit_sample":
-        for m in range(count):
-            rng = path_stream(cfg.seed, m)
-            us = rng.random(depth)
-            node = root
-            for n in range(depth):
-                cell = int(np.searchsorted(node.bounds, us[n], side="right"))
-                increments[m, n] = node.values[cell]
-                angles[m, n] = TAU * us[n]
-                node = node.children[cell]
-    else:
-        sigmas = _step_sigmas(cfg)
-        for m in range(count):
-            node = root
-            for n in range(depth):
-                res = _euler_block(
-                    lambda attempt, m=m, n=n: path_stream(
-                        cfg.seed, m, sub=n * _MAX_ATTEMPTS + attempt
-                    ),
-                    sigmas,
-                    cfg.dt_base,
-                    [],
-                )
-                restarts += res.attempts - 1
-                if res.steps < MIN_STEPS_BEFORE_EXIT:
-                    coarse += 1
-                cell = int(np.searchsorted(node.bounds, res.angle / TAU, side="right"))
-                increments[m, n] = node.values[cell]
-                angles[m, n] = res.angle
-                node = node.children[cell]
-    _coarse_guard(coarse, count * depth)
-
-    return IncrementBatch(
-        increments=increments,
-        exit_angles=angles,
-        restarts=restarts,
-        coarse_blocks=coarse,
-        total_blocks=count * depth,
-        seed=cfg.seed,
-        scheme=cfg.scheme,
-    )
+    return _simulate_batch(rep, count, cfg, None, 0)[0]
 
 
 def simulate_grid_batch(
@@ -396,21 +385,49 @@ def simulate_grid_batch(
     whole batch.
     """
     verify_zero_sections(rep).require_zero()
-    grid = np.asarray(grid, dtype=float)
+    batch, values = _simulate_batch(rep, count, cfg, np.asarray(grid, dtype=float), count)
+    return values, batch.increments, batch.restarts
+
+
+def _stack(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Rows of ``head`` then ``tail``, without a copy when one is empty."""
+    if len(head) and len(tail):
+        return np.concatenate([head, tail])
+    return tail if len(tail) else head
+
+
+def _simulate_batch(
+    rep: CellRepresentation,
+    count: int,
+    cfg: BrownianConfig,
+    grid: Optional[np.ndarray],
+    grid_count: int,
+) -> tuple[IncrementBatch, Optional[np.ndarray]]:
+    """``simulate_increments(rep, count, cfg)`` and, given a grid, the
+    values of ``simulate_grid_batch(rep, grid, grid_count, cfg)``, with
+    every path simulated once: the first ``grid_count`` paths on the grid,
+    the rest without.  ``rep`` must already be checked zero-mean.
+
+    The coarse-step guard runs as those two run it, in this order: over
+    all ``count * depth`` blocks, then over the grid paths' blocks.
+    """
     root = compile_disk(rep)
-    per_block = _grid_by_block(grid, rep.depth)
-    values = np.empty((count, len(grid), rep.dimension))
-    increments = np.empty((count, rep.depth, rep.dimension))
-    restarts = 0
-    coarse = 0
-    for m in range(count):
-        path = _simulate_path(rep, root, grid, per_block, cfg, m)
-        values[m] = path.values
-        increments[m] = path.increments
-        restarts += path.restarts
-        coarse += path.coarse_blocks
+    per_block = None if grid is None else _grid_by_block(grid, rep.depth)
+    head = _simulate_range(rep, root, cfg, 0, grid_count, per_block)
+    tail = _simulate_range(rep, root, cfg, grid_count, count)
+    coarse = head.coarse + tail.coarse
     _coarse_guard(coarse, count * rep.depth)
-    return values, increments, restarts
+    _coarse_guard(head.coarse, grid_count * rep.depth)
+    batch = IncrementBatch(
+        increments=_stack(head.increments, tail.increments),
+        exit_angles=_stack(head.angles, tail.angles),
+        restarts=head.restarts + tail.restarts,
+        coarse_blocks=coarse,
+        total_blocks=count * rep.depth,
+        seed=cfg.seed,
+        scheme=cfg.scheme,
+    )
+    return batch, head.values
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -96,6 +97,41 @@ class DiskNode:
 
 def compile_disk(rep: CellRepresentation) -> DiskNode:
     return DiskNode(rep.root, rep.dimension)
+
+
+def walk_uniforms(
+    root: DiskNode, xs: np.ndarray, ys: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Cell values along the paths that uniforms drive through the tree.
+
+    Row m of ``xs`` (paths, depth) walks path m: at level k it reads the
+    cell holding ``xs[m, k]`` and descends into that cell's child.  Row m
+    of ``ys``, if given, reads the cell holding ``ys[m, k]`` at the same
+    nodes (the decoupled copy).  Returns (paths, depth, dim) values for
+    ``xs`` and for ``ys`` (None without it).  All paths sitting at one
+    node are searched in one numpy call, so the Python work follows the
+    visited nodes, not the paths.
+    """
+    count, depth = xs.shape
+    dim = root.values.shape[1]
+    direct = np.empty((count, depth, dim))
+    copy = np.empty((count, depth, dim)) if ys is not None else None
+    # depth first over (node, indices of the paths at it, its level); an
+    # explicit stack, since a closure calling itself is a reference cycle
+    # that would keep xs and ys alive until the cyclic collector runs
+    stack = [(root, np.arange(count), 0)] if count else []
+    while stack:
+        node, idx, k = stack.pop()
+        cells = np.searchsorted(node.bounds, xs[idx, k], side="right")
+        direct[idx, k] = node.values[cells]
+        if copy is not None:
+            copy[idx, k] = node.values[np.searchsorted(node.bounds, ys[idx, k], side="right")]
+        if k + 1 < depth:
+            for c, child in enumerate(node.children):
+                sub = idx[cells == c]
+                if sub.size:
+                    stack.append((child, sub, k + 1))
+    return direct, copy
 
 
 def _as_complex(z) -> complex:

@@ -173,8 +173,12 @@ def representation_from_json(doc: dict) -> CellRepresentation:
         root_doc = doc["root"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed representation document: {exc}") from exc
+    if depth < 1:
+        raise FormatError(f"representation depth must be at least 1, got {depth}")
 
-    def node_from(nd) -> RepNode:
+    def node_from(nd, level: int) -> RepNode:
+        """Node at ``level`` (the root is 1); cells carry children exactly
+        above the last level."""
         if not isinstance(nd, dict) or not nd.get("branches"):
             raise FormatError(f"malformed representation node: {nd!r}")
         cells = []
@@ -199,7 +203,12 @@ def representation_from_json(doc: dict) -> CellRepresentation:
             if not lo < hi <= 1:
                 raise FormatError(f"bad interval [{lo}, {hi})")
             cursor = hi
-            child = node_from(child_doc) if child_doc is not None else None
+            if (child_doc is None) != (level == depth):
+                raise FormatError(
+                    f"a branch at level {level} of a depth-{depth} representation "
+                    + ("has no child" if child_doc is None else "has a child")
+                )
+            child = node_from(child_doc, level + 1) if child_doc is not None else None
             cells.append(Cell(Interval(lo, hi), value, child))
         if cursor != 1:
             raise FormatError(f"intervals stop at {cursor}, not 1")
@@ -208,7 +217,7 @@ def representation_from_json(doc: dict) -> CellRepresentation:
             raise FormatError("values must be strictly ascending within a node")
         return _make_rep_node(cells)
 
-    return CellRepresentation(dimension, depth, node_from(root_doc))
+    return CellRepresentation(dimension, depth, node_from(root_doc, 1))
 
 
 # ---------------------------------------------------------------------------

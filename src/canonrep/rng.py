@@ -21,3 +21,12 @@ def path_stream(seed: int, index: int = 0, sub: int = 0) -> np.random.Generator:
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, sub & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def path_uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """(stop - start, width) array whose row i holds the first ``width``
+    uniforms of the stream of path ``start + i``."""
+    out = np.empty((max(stop - start, 0), width))
+    for i in range(out.shape[0]):
+        out[i] = path_stream(seed, start + i).random(width)
+    return out

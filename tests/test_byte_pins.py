@@ -1,0 +1,233 @@
+"""Sampler and report bytes pinned by sha256.
+
+The digests were recorded with the per-path sampling loops that preceded
+the vectorized tree walk, the single-pass ``skorohod`` and the ``bench
+--csv`` that reuses the ratio batch, so these tests hold the current code
+to exactly the old bytes.  They hash bytes rather than compare with
+``array_equal``, which treats 0.0 and -0.0 as equal where a CSV does
+not.  JSON reports name the generator, and with it the numpy version;
+that string is replaced by a fixed token before hashing.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from canonrep import (
+    BrownianConfig,
+    construct_ci_copy,
+    random_process,
+    represent_mds,
+    sample_paths,
+    simulate_F,
+    simulate_grid_batch,
+    simulate_increments,
+)
+from canonrep.cli import main
+from canonrep.harmonic import compile_disk
+from canonrep.rng import GENERATOR_ID, path_stream
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr((part.shape, part.dtype.str)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# library samplers on a depth-3, dimension-2 zero-mean tree
+
+GRID = np.array([0.0, 0.25, 0.999, 1.0, 1.5, 2.0, 2.75])
+
+
+def _cfg(scheme):
+    return BrownianConfig(seed=4, scheme=scheme)
+
+
+def _library_case(name, rep):
+    if name == "sample_paths":
+        batch = sample_paths(rep, 500, seed=3)
+        return _sha(batch.paths, batch.seed, batch.source)
+    if name == "sample_paths_pair":
+        batch = sample_paths(construct_ci_copy(rep), 500, seed=3)
+        return _sha(batch.direct, batch.decoupled, batch.seed, batch.source)
+    scheme = name.rsplit("-", 1)[1]
+    count = 300 if scheme == "exit_sample" else 6
+    if name.startswith("simulate_increments"):
+        b = simulate_increments(rep, count, _cfg(scheme))
+        return _sha(b.increments, b.exit_angles, b.restarts, b.coarse_blocks,
+                    b.total_blocks, b.seed, b.scheme)
+    if name.startswith("simulate_grid_batch"):
+        return _sha(*simulate_grid_batch(rep, GRID, count, _cfg(scheme)))
+    path = simulate_F(rep, GRID, _cfg(scheme), path_index=7)
+    return _sha(path.times, path.values, path.increments, path.exit_points,
+                path.exit_times, path.restarts, path.coarse_blocks, path.scheme,
+                path.seed, path.path_index)
+
+
+LIBRARY_PINS = {
+    "sample_paths":
+        "28bb7361027d7c886be5df599bd2927c746c81c0c01298b7407ed7e99b6b4cc5",
+    "sample_paths_pair":
+        "fd8964e4572e3edaa1ad6eaba16670c1f7456ad11dfad8f6eee897c86d8376a2",
+    "simulate_increments-exit_sample":
+        "cc83d741abba136d063a4d1544cbdea276dd74d0507ad3e004df2fc6bfe69ff3",
+    "simulate_increments-euler":
+        "97c4e5217c7a1ddb837f8d465f546190c21577afeb5bffba5c9610c0b5f826af",
+    "simulate_grid_batch-exit_sample":
+        "468d8e50b9055c3e9a9d7defd298dcc8e11cdee9f9cb3dbe6b964dae352d133a",
+    "simulate_grid_batch-euler":
+        "a0af745feebde7fa37969592c3635123ad48cc956eba84a2d605395500d92f6c",
+    "simulate_F-exit_sample":
+        "f957affc26d0d88fa1a3f19c5ef13b64d1164fc5aa64f04eb542dc453ed7f272",
+    "simulate_F-euler":
+        "5e50256204a9f61c1350618691ae31420a9ea46bab9dbad5dd30c8b047f8984a",
+}
+
+
+@pytest.fixture(scope="module")
+def pin_rep():
+    return represent_mds(random_process(3, 3, 2, seed=5, mds=True))
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_PINS))
+def test_library_sampler_bytes(pin_rep, name):
+    assert _library_case(name, pin_rep) == LIBRARY_PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# CLI outputs on the depth-2 fixture of ``gen --depth 2 --branching 3 --mds``
+
+CLI_CASES = {
+    "bench-p2-csv": (["bench", "--p", "2", "--samples", "3000", "--seed", "11"],
+                     True, True),
+    "bench-p3": (["bench", "--p", "3", "--samples", "3000", "--seed", "11"],
+                 True, False),
+    # 10003 paths: the first 10^4 carry the grid, the last three do not
+    "skorohod-exit_sample-10003": (
+        ["skorohod", "--scheme", "exit_sample", "--samples", "10003", "--seed", "5"],
+        False, True),
+    "skorohod-euler-40": (
+        ["skorohod", "--scheme", "euler", "--samples", "40", "--seed", "5"],
+        False, True),
+}
+
+CLI_PINS = {
+    "bench-p2-csv":
+        "28361bf4a4629f9817c3b9da2f42c309a369a9da36ca811ecd26ae1f9e40110e",
+    "bench-p3":
+        "5e6cd715af62ef1c7592b46a10dbe0f3b36252dda3708470629c882d22754ad4",
+    "skorohod-exit_sample-10003":
+        "72c89f636362747b1d88130360c7f7ddd6efead68316933f929a32f2d96549f0",
+    "skorohod-euler-40":
+        "d7f0c5a1465cd64672d1f4c909de244868359c6e32871ea494b122d41bb04a39",
+}
+
+
+def _cli_case(name, tmp_path):
+    runner = CliRunner()
+    proc, rep = tmp_path / "p.json", tmp_path / "r.json"
+    for args in (["gen", "--depth", "2", "--branching", "3", "--mds", "--seed", "7",
+                  "--out", str(proc)],
+                 ["represent", "--in", str(proc), "--out", str(rep)]):
+        assert runner.invoke(main, args).exit_code == 0
+    args, on_rep, with_csv = CLI_CASES[name]
+    out, table = tmp_path / "out.json", tmp_path / "out.csv"
+    res = runner.invoke(
+        main,
+        args + ["--in", str(rep if on_rep else proc), "--out", str(out)]
+        + (["--csv", str(table)] if with_csv else []),
+    )
+    report = out.read_bytes().replace(GENERATOR_ID.encode(), b"GENERATOR")
+    return _sha(res.exit_code, report, table.read_bytes() if with_csv else b"")
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_output_bytes(tmp_path, name):
+    assert _cli_case(name, tmp_path) == CLI_PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# the per-path loops the vectorized walk replaced, kept as references
+
+def _loop_sample(rep, count, seed, decoupled):
+    root = compile_disk(rep)
+    depth, dim = rep.depth, rep.dimension
+    direct = np.empty((count, depth, dim))
+    copy = np.empty((count, depth, dim))
+    for m in range(count):
+        rng = path_stream(seed, m)
+        xs = rng.random(depth)
+        ys = rng.random(depth) if decoupled else None
+        node = root
+        for k in range(depth):
+            i = int(np.searchsorted(node.bounds, xs[k], side="right"))
+            direct[m, k] = node.values[i]
+            if decoupled:
+                copy[m, k] = node.values[int(np.searchsorted(node.bounds, ys[k], side="right"))]
+            node = node.children[i]
+    return direct, copy
+
+
+def _loop_exit_sample(rep, grid, count, seed):
+    root = compile_disk(rep)
+    depth, dim = rep.depth, rep.dimension
+    values = np.zeros((count, len(grid), dim))
+    increments = np.zeros((count, depth, dim))
+    for m in range(count):
+        us = path_stream(seed, m).random(depth)
+        node, partial = root, np.zeros(dim)
+        for n in range(depth):
+            for gi, t in enumerate(grid):
+                if min(int(t), depth - 1) == n:
+                    values[m, gi] = partial
+            cell = int(np.searchsorted(node.bounds, us[n], side="right"))
+            increments[m, n] = node.values[cell]
+            partial = partial + increments[m, n]
+            node = node.children[cell]
+    return values, increments
+
+
+@pytest.mark.parametrize(
+    "depth, branching, dim, seed",
+    [(1, 4, 1, 0), (2, 3, 1, 1), (3, 4, 2, 2), (4, 3, 1, 3), (5, 2, 3, 4)],
+)
+def test_walk_matches_per_path_loops(depth, branching, dim, seed):
+    rep = represent_mds(random_process(depth, branching, dim, seed=seed, mds=True))
+    single = sample_paths(rep, 400, seed=seed)
+    assert single.paths.tobytes() == _loop_sample(rep, 400, seed, False)[0].tobytes()
+    pair = sample_paths(construct_ci_copy(rep), 400, seed=seed)
+    direct, copy = _loop_sample(rep, 400, seed, True)
+    assert pair.direct.tobytes() == direct.tobytes()
+    assert pair.decoupled.tobytes() == copy.tobytes()
+
+    grid = np.concatenate([np.arange(depth), np.arange(depth) + 0.5])
+    values, increments, _ = simulate_grid_batch(rep, grid, 400, BrownianConfig(seed=seed))
+    loop_values, loop_increments = _loop_exit_sample(rep, grid, 400, seed)
+    assert values.tobytes() == loop_values.tobytes()
+    assert increments.tobytes() == loop_increments.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["exit_sample", "euler"])
+def test_one_pass_batch_matches_both_samplers(pin_rep, scheme):
+    # skorohod's single pass: grid values for the first paths, increments
+    # for all, each path simulated once, in path order
+    from canonrep.embedding import _simulate_batch
+
+    count, grid_count = (500, 200) if scheme == "exit_sample" else (7, 3)
+    cfg = _cfg(scheme)
+    batch, values = _simulate_batch(pin_rep, count, cfg, GRID, grid_count)
+    alone = simulate_increments(pin_rep, count, cfg)
+    assert batch.increments.tobytes() == alone.increments.tobytes()
+    assert batch.exit_angles.tobytes() == alone.exit_angles.tobytes()
+    assert (batch.restarts, batch.coarse_blocks, batch.total_blocks) == (
+        alone.restarts, alone.coarse_blocks, alone.total_blocks)
+    grid_values, _, _ = simulate_grid_batch(pin_rep, GRID, grid_count, cfg)
+    assert values.tobytes() == grid_values.tobytes()

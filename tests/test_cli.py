@@ -420,3 +420,79 @@ def test_skorohod_rejects_bad_parameters(runner, tmp_path, args):
     assert "Traceback" not in res.output
     assert args[0] in res.output
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# representations of the wrong shape
+
+def _null_first_child(doc):
+    doc["root"]["branches"][0]["child"] = None
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_null_first_child, lambda doc: doc.update(depth=3), lambda doc: doc.update(depth=1)],
+    ids=["null-child", "depth-3", "depth-1"],
+)
+def test_bench_rejects_representation_of_wrong_depth(runner, tmp_path, mutate):
+    p_path = _gen(runner, tmp_path, seed=1)
+    r_path = tmp_path / "r.json"
+    runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
+    doc = load_json(r_path)
+    mutate(doc)
+    r_path.write_text(json.dumps(doc))
+    out = tmp_path / "b.json"
+    res = runner.invoke(
+        main, ["bench", "--in", str(r_path), "--samples", "100", "--seed", "1",
+               "--out", str(out)]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "representation" in res.stderr
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# skorohod guards
+
+def test_skorohod_coarse_guard_counts_every_block(runner, tmp_path):
+    # at dt 0.01 every block exits in far fewer than 1000 steps; 10003
+    # paths cross the 10^4 grid paths, and the guard still counts all
+    # samples x depth blocks (exit code and message as the two-pass code)
+    p_path = _gen(runner, tmp_path)
+    out = tmp_path / "s.json"
+    res = runner.invoke(
+        main,
+        ["skorohod", "--in", str(p_path), "--scheme", "euler", "--dt", "0.01",
+         "--samples", "10003", "--seed", "5", "--out", str(out)],
+    )
+    assert res.exit_code == 1
+    assert res.stderr == (
+        "error: StepTooCoarse: 20006 of 20006 blocks exited in fewer than 1000 steps\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, code, message",
+    [("0", 2, "at least one point per block"), ("x", 2, "cannot parse grid"),
+     (",", 2, "at least one time"), ("1,9", 1, "XOutOfRange")],
+    ids=["zero", "not-a-number", "empty", "out-of-range"],
+)
+def test_skorohod_bad_grid_reported_before_simulating(runner, tmp_path, grid, code,
+                                                       message):
+    # the grid is read before any path is simulated, so it wins over a dt
+    # that would trip the coarse-step guard
+    p_path = _gen(runner, tmp_path)
+    out = tmp_path / "s.json"
+    res = runner.invoke(
+        main,
+        ["skorohod", "--in", str(p_path), "--scheme", "euler", "--dt", "0.01",
+         "--samples", "10003", "--seed", "5", "--grid", grid, "--out", str(out)],
+    )
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.stderr
+    assert "StepTooCoarse" not in res.stderr
+    assert not out.exists()
