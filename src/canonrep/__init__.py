@@ -7,6 +7,7 @@ from .errors import (
     DegenerateBatch,
     DimensionMismatch,
     FormatError,
+    NoDiskExit,
     NonPositiveProb,
     NotAnAtom,
     NotMartingaleDifference,

@@ -196,6 +196,8 @@ def decoupling_ratio(
         raise DegenerateBatch("all path sums are zero on at least one side")
     ratio = est_e / est_d
     stderr = ratio * math.hypot(se_e / est_e, se_d / est_d)
+    if not (math.isfinite(ratio) and math.isfinite(stderr)):
+        raise DegenerateBatch(f"p-th powers of the path sums overflow floats at p={p:g}")
 
     exact = None
     if (

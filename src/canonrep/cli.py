@@ -48,6 +48,12 @@ EXIT_STATISTICAL = 3
 
 SIGNIFICANCE = 0.01
 
+# Philox keys keep 64 bits of the seed, so a wider seed would alias another
+# seed's samples while its report names the seed given
+SEED_RANGE = click.IntRange(0, 2**64 - 1)
+# keeps every per-sample array of one run within a few GiB
+MAX_SAMPLES = 10**7
+
 
 def _guarded(fn):
     @functools.wraps(fn)
@@ -217,8 +223,8 @@ def transport(
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--p", "p_norm", type=float, default=2.0, show_default=True,
               callback=_finite_above(1))
-@click.option("--samples", type=click.IntRange(min=2), default=10**5, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--samples", type=click.IntRange(2, MAX_SAMPLES), default=10**5, show_default=True)
+@click.option("--seed", type=SEED_RANGE, required=True)
 @click.option("--depth-limit", type=int, default=4, show_default=True,
               help="Largest depth the enumeration oracle runs at.")
 @click.option("--exact", is_flag=True,
@@ -309,8 +315,8 @@ def _parse_grid(grid_arg: str, depth: int) -> np.ndarray:
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--scheme", type=click.Choice(["exit_sample", "euler"]),
               default="exit_sample", show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=10**4, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--samples", type=click.IntRange(1, MAX_SAMPLES), default=10**4, show_default=True)
+@click.option("--seed", type=SEED_RANGE, required=True)
 @click.option("--grid", default="4", show_default=True,
               help="Points per block, or comma-separated absolute times.")
 @click.option("--dt", type=float, default=5e-5, show_default=True,

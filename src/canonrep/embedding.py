@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import StepTooCoarse, XOutOfRange
+from .errors import NoDiskExit, SizeGuard, StepTooCoarse, XOutOfRange
 from .harmonic import TAU, DiskNode, compile_disk, harmonic_extension, walk_uniforms
 from .martingale import verify_zero_sections
 from .representation import CellRepresentation
@@ -44,6 +44,7 @@ from .rng import GENERATOR_ID, path_stream, path_uniforms
 
 _CHUNK = 4096
 MIN_STEPS_BEFORE_EXIT = 1000
+MAX_STEPS_PER_BLOCK = 10**7  # one block's step arrays stay within a few hundred MiB
 _MAX_ATTEMPTS = 64
 
 
@@ -131,6 +132,12 @@ def _step_sigmas(cfg: BrownianConfig) -> np.ndarray:
     """Per-step standard deviations induced by the time change."""
     t_cap = phi_inverse(cfg.phi_cap)
     n_steps = max(int(t_cap / cfg.dt_base), 1)
+    if n_steps > MAX_STEPS_PER_BLOCK:
+        raise SizeGuard(
+            f"dt {cfg.dt_base:g} needs {n_steps} euler steps per block, "
+            f"more than {MAX_STEPS_PER_BLOCK}",
+            steps=n_steps,
+        )
     t = np.arange(n_steps + 1) * cfg.dt_base
     return np.sqrt(np.diff(t / (1.0 - t)))
 
@@ -198,8 +205,9 @@ def _euler_block(
                 )
             px, py = float(xs[-1]), float(ys[-1])
             j0 = j1
-    raise RuntimeError(
-        f"no disk exit in {_MAX_ATTEMPTS} attempts; raise phi_cap or dt_base"
+    raise NoDiskExit(
+        f"no disk exit in {_MAX_ATTEMPTS} attempts; raise phi_cap or dt_base",
+        attempts=_MAX_ATTEMPTS,
     )
 
 

@@ -68,7 +68,8 @@ class NotAnAtom(ProcessError):
 
 
 class DegenerateBatch(ProcessError):
-    """A sample batch carries no usable signal (all path sums are zero)."""
+    """A sample batch carries no usable signal (all path sums are zero, or
+    their p-th powers overflow floats)."""
 
 
 class TooCloseToBoundary(ProcessError):
@@ -79,5 +80,10 @@ class StepTooCoarse(ProcessError):
     """Too many simulated blocks exited after fewer than the minimum steps."""
 
 
+class NoDiskExit(ProcessError):
+    """An euler block stayed inside the disk up to the censoring horizon in
+    every attempt."""
+
+
 class SizeGuard(ProcessError):
-    """Requested fixture size exceeds the generator's guard limits."""
+    """A requested size exceeds a guard limit (fixtures, euler steps)."""

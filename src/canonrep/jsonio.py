@@ -44,7 +44,7 @@ def parse_frac(x) -> Fraction:
             raise TypeError("booleans are not rationals")
         if isinstance(x, (int, float, str)):
             return Fraction(x)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"cannot parse rational from {x!r}: {exc}") from exc
     raise FormatError(f"cannot parse rational from {x!r}")
 
@@ -93,7 +93,7 @@ def process_from_json(doc: dict) -> FiniteProcess:
         dimension = int(doc["dimension"])
         depth = int(doc["depth"])
         root_doc = doc["root"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed process document: {exc}") from exc
 
     def node_from(nd) -> Node:
@@ -171,7 +171,7 @@ def representation_from_json(doc: dict) -> CellRepresentation:
         dimension = int(doc["dimension"])
         depth = int(doc["depth"])
         root_doc = doc["root"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed representation document: {exc}") from exc
     if depth < 1:
         raise FormatError(f"representation depth must be at least 1, got {depth}")
@@ -179,11 +179,12 @@ def representation_from_json(doc: dict) -> CellRepresentation:
     def node_from(nd, level: int) -> RepNode:
         """Node at ``level`` (the root is 1); cells carry children exactly
         above the last level."""
-        if not isinstance(nd, dict) or not nd.get("branches"):
+        branches = nd.get("branches") if isinstance(nd, dict) else None
+        if not isinstance(branches, list) or not branches:
             raise FormatError(f"malformed representation node: {nd!r}")
         cells = []
         cursor = Fraction(0)
-        for br in nd["branches"]:
+        for br in branches:
             try:
                 lo = parse_frac(br["interval"][0])
                 hi = parse_frac(br["interval"][1])

@@ -385,8 +385,10 @@ def test_skorohod_csv_and_svg(runner, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [["--samples", "0"], ["--samples", "1"], ["--p", "1"], ["--p", "nan"],
-     ["--p", "inf"]],
-    ids=["samples-0", "samples-1", "p-1", "p-nan", "p-inf"],
+     ["--p", "inf"], ["--seed", "-1"], ["--seed", str(2**64)],
+     ["--samples", str(10**7 + 1)]],
+    ids=["samples-0", "samples-1", "p-1", "p-nan", "p-inf", "seed-neg", "seed-2^64",
+         "samples-huge"],
 )
 def test_bench_rejects_bad_parameters(runner, tmp_path, args):
     p_path = _gen(runner, tmp_path)
@@ -406,8 +408,10 @@ def test_bench_rejects_bad_parameters(runner, tmp_path, args):
 @pytest.mark.parametrize(
     "args",
     [["--samples", "0"], ["--dt", "nan"], ["--dt", "inf"], ["--dt", "0"],
-     ["--cap", "nan"], ["--cap", "inf"], ["--cap", "-1"]],
-    ids=["samples-0", "dt-nan", "dt-inf", "dt-0", "cap-nan", "cap-inf", "cap-neg"],
+     ["--cap", "nan"], ["--cap", "inf"], ["--cap", "-1"], ["--seed", "-1"],
+     ["--seed", str(2**64)], ["--samples", str(10**7 + 1)]],
+    ids=["samples-0", "dt-nan", "dt-inf", "dt-0", "cap-nan", "cap-inf", "cap-neg",
+         "seed-neg", "seed-2^64", "samples-huge"],
 )
 def test_skorohod_rejects_bad_parameters(runner, tmp_path, args):
     p_path = _gen(runner, tmp_path)
@@ -431,8 +435,9 @@ def _null_first_child(doc):
 
 @pytest.mark.parametrize(
     "mutate",
-    [_null_first_child, lambda doc: doc.update(depth=3), lambda doc: doc.update(depth=1)],
-    ids=["null-child", "depth-3", "depth-1"],
+    [_null_first_child, lambda doc: doc.update(depth=3), lambda doc: doc.update(depth=1),
+     lambda doc: doc["root"].update(branches=True)],
+    ids=["null-child", "depth-3", "depth-1", "branches-not-a-list"],
 )
 def test_bench_rejects_representation_of_wrong_depth(runner, tmp_path, mutate):
     p_path = _gen(runner, tmp_path, seed=1)
@@ -496,3 +501,59 @@ def test_skorohod_bad_grid_reported_before_simulating(runner, tmp_path, grid, co
     assert message in res.stderr
     assert "StepTooCoarse" not in res.stderr
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# inputs found by fuzzing (tests/test_fuzz.py) that ended in a traceback or
+# a silent nan
+
+def test_bench_overflowing_p_fails_closed(runner, tmp_path):
+    # the path sums' 1000th powers overflow floats; the ratio was nan and
+    # the oracle gate, comparing against nan, passed
+    p_path = _gen(runner, tmp_path)
+    r_path = tmp_path / "r.json"
+    runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
+    out = tmp_path / "b.json"
+    res = runner.invoke(main, ["bench", "--in", str(r_path), "--samples", "100",
+                               "--seed", "1", "--p", "1000", "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "DegenerateBatch" in res.stderr and "overflow" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--dt", "1e-300"], "SizeGuard"), (["--dt", "1e-10"], "SizeGuard"),
+     (["--cap", "1e-300"], "NoDiskExit")],
+    ids=["dt-tiny", "dt-small", "cap-tiny"],
+)
+def test_skorohod_euler_unrunnable_parameters(runner, tmp_path, args, message):
+    p_path = _gen(runner, tmp_path)
+    out = tmp_path / "s.json"
+    res = runner.invoke(
+        main, ["skorohod", "--in", str(p_path), "--scheme", "euler", "--samples", "5",
+               "--seed", "5", "--out", str(out)] + args
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"dimension": ', '"dimension": Infinity, "x": '),
+     ('"depth": ', '"depth": -Infinity, "x": '),
+     ('"prob": ', '"prob": Infinity, "x": '),
+     ('"value": [', '"value": [-Infinity, ')],
+    ids=["dimension", "depth", "prob", "value"],
+)
+def test_infinite_number_is_a_format_error(runner, tmp_path, old, new):
+    path = _gen(runner, tmp_path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    for cmd in (["validate", "--in", str(path)],
+                ["represent", "--in", str(path), "--out", str(tmp_path / "r.json")]):
+        res = runner.invoke(main, cmd)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from canonrep.rng import GENERATOR_ID, path_stream
+from canonrep.rng import GENERATOR_ID, _philox_blocks, path_stream, path_uniforms
 
 
 def test_generator_id_pins_name_and_version():
@@ -25,3 +26,60 @@ def test_negative_seed_accepted():
     a = path_stream(-5, 2).random(4)
     b = path_stream(-5, 2).random(4)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# vectorized Philox4x64-10 against numpy's per-path streams
+
+SEEDS = [0, 11, 2**63 + 5, -5, 2**64 + 3]
+RANGES = [
+    (0, 5),
+    (3, 11),  # start > 0
+    (2**64 - 3, 2**64 + 2),  # the path index wraps to 0, 1
+]
+no_warnings = pytest.mark.filterwarnings("error")
+
+
+def _reference(seed, start, stop, width):
+    out = np.empty((stop - start, width))
+    for i in range(stop - start):
+        out[i] = path_stream(seed, start + i).random(width)
+    return out
+
+
+@no_warnings
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("width", range(1, 10))  # 1 to 3 counter blocks
+def test_path_uniforms_bytes_match_per_path_streams(seed, width):
+    for start, stop in RANGES:
+        got = path_uniforms(seed, start, stop, width)
+        ref = _reference(seed, start, stop, width)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), (start, stop)
+
+
+@no_warnings
+@pytest.mark.parametrize("seed", [11, 2**63 + 5])
+@pytest.mark.parametrize("width", [3, 8])
+def test_path_uniforms_across_chunk_edges(seed, width):
+    # the kernel runs 2^11 rows at a time; this range spans three chunks
+    start, stop = 7, 7 + 2 * 2**11 + 5
+    got = path_uniforms(seed, start, stop, width)
+    assert got.tobytes() == _reference(seed, start, stop, width).tobytes()
+
+
+@no_warnings
+def test_path_uniforms_empty_range():
+    assert path_uniforms(3, 5, 5, 4).shape == (0, 4)
+    assert path_uniforms(3, 5, 2, 8).shape == (0, 8)
+
+
+@no_warnings
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kernel_words_match_random_raw(seed):
+    index = np.array([0, 1, 7, 2**64 - 1], dtype=np.uint64)
+    words = _philox_blocks(seed, index, 2)
+    for row, i in zip(words, index):
+        key = np.array([seed & (2**64 - 1), int(i)], dtype=np.uint64)
+        ref = np.random.Philox(key=key, counter=np.zeros(4, dtype=np.uint64))
+        assert row.tobytes() == ref.random_raw(8).tobytes()
