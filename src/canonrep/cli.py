@@ -278,7 +278,8 @@ def bench(
             )
             for m in range(samples):
                 writer.writerow(
-                    [m] + [repr(v) for v in sums_d[m]] + [repr(v) for v in sums_e[m]]
+                    [m] + [repr(float(v)) for v in sums_d[m]]
+                    + [repr(float(v)) for v in sums_e[m]]
                 )
     _say(quiet, f"ratio {report.ratio:.6f} +- {report.stderr:.6f} "
                 f"(p={p_norm:g}, M={samples}, exact="

@@ -138,6 +138,12 @@ def _step_sigmas(cfg: BrownianConfig) -> np.ndarray:
             f"more than {MAX_STEPS_PER_BLOCK}",
             steps=n_steps,
         )
+    if n_steps * cfg.dt_base >= 1.0:
+        raise SizeGuard(
+            f"cap {cfg.phi_cap:g} puts the last euler step at block time 1, "
+            f"where the time change is infinite",
+            cap=cfg.phi_cap,
+        )
     t = np.arange(n_steps + 1) * cfg.dt_base
     return np.sqrt(np.diff(t / (1.0 - t)))
 

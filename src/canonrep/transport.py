@@ -13,10 +13,15 @@ with the transport then reproduces the second component's step function
 at every point of the section, and the map is measure preserving because
 paired pieces have equal length.
 
-Both verifiers run exactly, in integers on the section's lcm grid: every
-endpoint is scaled once by the lcm of its denominators (and of the dyadic
-grid size, for the measure check), so no Fraction arithmetic is left in
-their loops.
+Both verifiers are proofs, not samples, and run exactly in integers on the
+section's lcm grid: every endpoint is scaled once by the lcm of its
+denominators, so no Fraction arithmetic is left in their loops.  A map
+that translates each piece, with sources and targets both tiling [0,1),
+preserves the measure of every Borel set, so the measure check only needs
+the tilings and the paired lengths.  Both step functions are constant on
+each piece of the common refinement of the source pieces, the cells and
+the cells pulled back through the transport, so the consistency check
+compares them once per piece of that refinement.
 
 Interleaving maps [0,1) into [0,1)^2 by splitting binary digits into odd
 and even positions at a fixed finite precision; dyadic rectangles pull
@@ -25,13 +30,10 @@ back to sets of exactly the right measure.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
-from operator import add
-from random import Random
 from typing import NamedTuple, Optional
 
 from .errors import DimensionMismatch, NotAnAtom, NotTangent, RaggedDepth, XOutOfRange
@@ -223,17 +225,17 @@ def independent_coupling(
 # ---------------------------------------------------------------------------
 # verification
 
-DYADIC_GRID_BITS = 10
-
-
 def verify_measure_preserving(t: TransportMap | SectionTransport) -> CheckResult:
     """Exact check that a transport preserves Lebesgue measure.
 
-    Sources must tile [0,1), targets must tile [0,1), paired intervals
-    must have equal length, and the preimage of every cell of the dyadic
-    grid with 2^10 cells must have measure exactly 2^-10.  Each section
-    is checked in integers on its lcm grid (``_lcm_grid``), which is
-    exact; witnesses report Fractions.
+    Sources must tile [0,1), paired intervals must have equal length, and
+    targets must tile [0,1) from 0 without gap or overlap.  That is the
+    whole proof: each piece maps onto its target by a translation, so the
+    preimage of any Borel set B is the disjoint union of translates of B
+    intersected with the targets, and its measure is that of B.  (Equal
+    lengths make the targets sum to 1, so gap-free targets from 0 end at
+    1.)  Each section is checked in integers on its lcm grid
+    (``_lcm_grid``); witnesses report Fractions.
     """
     sections = t.sections if isinstance(t, TransportMap) else (t,)
     for s in sections:
@@ -243,13 +245,13 @@ def verify_measure_preserving(t: TransportMap | SectionTransport) -> CheckResult
     return CheckResult(True, None)
 
 
-def _lcm_grid(*rows, base: int = 1) -> tuple[int, list[list[int]]]:
+def _lcm_grid(*rows) -> tuple[int, list[list[int]]]:
     """Scale rows of rationals to integers on their common grid.
 
-    ``scale`` is the lcm of ``base`` and every denominator, and x maps to
-    the integer x * scale, so equality, order and sums carry over exactly.
+    ``scale`` is the lcm of every denominator, and x maps to the integer
+    x * scale, so equality, order and sums carry over exactly.
     """
-    scale = lcm(base, *(x.denominator for row in rows for x in row))
+    scale = lcm(*(x.denominator for row in rows for x in row))
     return scale, [
         [x.numerator * (scale // x.denominator) for x in row] for row in rows
     ]
@@ -262,13 +264,11 @@ def _verify_section(s: SectionTransport) -> CheckResult:
     pairs = s.pairs
     if not pairs:
         return fail("empty section")
-    n = 1 << DYADIC_GRID_BITS
     scale, (src_lo, src_hi, tgt_lo, tgt_hi) = _lcm_grid(
         [p.source.lo for p in pairs],
         [p.source.hi for p in pairs],
         [p.target.lo for p in pairs],
         [p.target.hi for p in pairs],
-        base=n,
     )
 
     lo = 0
@@ -296,29 +296,6 @@ def _verify_section(s: SectionTransport) -> CheckResult:
             return fail("target gap or overlap", at=Fraction(lo, scale),
                         found=pairs[i].target.lo)
         lo = tgt_hi[i]
-    if lo != scale:
-        return fail("target does not reach 1", at=Fraction(lo, scale))
-
-    # preimage measure of each dyadic grid cell in one sweep: a pair adds
-    # partial mass to the cells holding its ends, and the cells strictly
-    # between them through a difference array
-    cell = scale // n
-    ends = [0] * n
-    diff = [0] * n
-    for a, b in zip(tgt_lo, tgt_hi):
-        first, last = a // cell, (b - 1) // cell
-        if first == last:
-            ends[first] += b - a
-        else:
-            ends[first] += (first + 1) * cell - a
-            ends[last] += b - last * cell
-            diff[first + 1] += cell
-            diff[last] -= cell
-    masses = list(map(add, ends, accumulate(diff)))
-    if masses != [cell] * n:
-        i = next(i for i, m in enumerate(masses) if m != cell)
-        return fail("dyadic preimage mass", cell=i, mass=Fraction(masses[i], scale),
-                    expected=Fraction(1, n))
     return CheckResult(True, None)
 
 
@@ -326,50 +303,51 @@ def verify_transport_consistency(
     base: CellRepresentation,
     maps: list[TransportMap],
     component_dim: int,
-    points_per_section: int = 1000,
-    seed: int = 0,
 ) -> CheckResult:
-    """Check second = first o transport at random points, exactly.
+    """Exact check that second = first o transport on all of [0,1).
 
-    For every section, random rationals are drawn on the section's lcm
-    grid (so all arithmetic stays in integers) and the value of the first
-    component at the transported point is compared with the value of the
-    second component at the original point.  A section history that
-    ``base`` does not realize raises UnreachablePrefix.
+    Precondition: every map is accepted by ``verify_measure_preserving``.
+    A source piece [a, a + e - b) translates onto its target [b, e).  On
+    it the second component at x changes only at cell ends c, and the
+    first component at the transported point only where x = a + (c - b)
+    for a cell end c inside the target.  Both sides are therefore constant
+    between consecutive points of {a}, the cell ends inside the piece and
+    those preimages, and one comparison at each such point, in integers on
+    the section's lcm grid, proves the equality everywhere.  The witness is
+    the first failing point, in pair order and then ascending x.  A section
+    history that ``base`` does not realize raises UnreachablePrefix.
     """
-    rng = Random(seed)
     d = component_dim
     for tm in maps:
         for s in tm.sections:
             node = locate_node(base, s.history)
-            # the upper ends only take part in the grid, which fixes the points drawn
-            scale, (src_los, tgt_los, cums, _, _) = _lcm_grid(
+            scale, (src_los, tgt_los, tgt_his, cums) = _lcm_grid(
                 [p.source.lo for p in s.pairs],
                 [p.target.lo for p in s.pairs],
-                node.cums,
-                [p.source.hi for p in s.pairs],
                 [p.target.hi for p in s.pairs],
+                node.cums,
             )
             seconds = [c.value[d:] for c in node.cells]
             firsts = [c.value[:d] for c in node.cells]
-            for _ in range(points_per_section):
-                x = rng.randrange(scale)
-                i = bisect_right(src_los, x) - 1
-                y = tgt_los[i] + (x - src_los[i])
-                second_at_x = seconds[bisect_right(cums, x) - 1]
-                first_at_y = firsts[bisect_right(cums, y) - 1]
-                if second_at_x != first_at_y:
-                    return CheckResult(
-                        False,
-                        {
-                            "step": tm.step,
-                            "history": s.history,
-                            "x": Fraction(x, scale),
-                            "transported": Fraction(y, scale),
-                            "second_at_x": second_at_x,
-                            "first_at_transported": first_at_y,
-                        },
-                    )
+            for a, b, e in zip(src_los, tgt_los, tgt_his):
+                inside = cums[bisect_right(cums, a):bisect_left(cums, a + e - b)]
+                pulled = cums[bisect_right(cums, b):bisect_left(cums, e)]
+                for x in sorted({a, *inside, *(a + c - b for c in pulled)}):
+                    y = b + (x - a)
+                    second_at_x = seconds[bisect_right(cums, x) - 1]
+                    first_at_y = firsts[bisect_right(cums, y) - 1]
+                    if second_at_x != first_at_y:
+                        return CheckResult(
+                            False,
+                            {
+                                "step": tm.step,
+                                "history": s.history,
+                                "x": Fraction(x, scale),
+                                "transported": Fraction(y, scale),
+                                "second_at_x": second_at_x,
+                                "first_at_transported": first_at_y,
+                            },
+                        )
     return CheckResult(True, None)
 
 

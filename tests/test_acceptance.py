@@ -148,15 +148,14 @@ def test_criterion_4_transport():
             res = verify_measure_preserving(tm)
             assert res.ok, res.witness
             sections += len(tm.sections)
-        res = verify_transport_consistency(
-            base, maps, pq.component_dim, points_per_section=1000,
-            seed=rng.randrange(10**9),
-        )
+        res = verify_transport_consistency(base, maps, pq.component_dim)
         assert res.ok, res.witness
+        # one spare draw per pair keeps the frozen sequence of 100 pairs
+        rng.randrange(10**9)
         pairs += 1
     _verdict(4, pairs == 100,
              f"{pairs} tangent pairs, {sections} sections: measure preserving "
-             f"and second = first o transport at 1000 points per section, exactly")
+             f"and second = first o transport on every piece, exactly")
 
 
 def test_criterion_5_interleaved_identities():

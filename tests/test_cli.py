@@ -217,6 +217,10 @@ def test_bench_csv(runner, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 201
     assert lines[0].startswith("path,")
+    # plain float reprs, whatever numpy's own scalar repr is
+    for line in lines[1:]:
+        for cell in line.split(",")[1:]:
+            assert cell == repr(float(cell))
 
 
 def test_bench_exact_flag_forces_oracle(runner, tmp_path):
@@ -522,11 +526,14 @@ def test_bench_overflowing_p_fails_closed(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "args, message",
     [(["--dt", "1e-300"], "SizeGuard"), (["--dt", "1e-10"], "SizeGuard"),
-     (["--cap", "1e-300"], "NoDiskExit")],
-    ids=["dt-tiny", "dt-small", "cap-tiny"],
+     (["--cap", "1e-300"], "NoDiskExit"),
+     # the horizon rounds to 1, where the time change divides by zero
+     (["--cap", "1e308", "--dt", "1e-3"], "SizeGuard")],
+    ids=["dt-tiny", "dt-small", "cap-tiny", "cap-huge"],
 )
 def test_skorohod_euler_unrunnable_parameters(runner, tmp_path, args, message):
     p_path = _gen(runner, tmp_path)
@@ -537,7 +544,8 @@ def test_skorohod_euler_unrunnable_parameters(runner, tmp_path, args, message):
     )
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert message in res.stderr
+    assert "Traceback" not in res.output
+    assert message in res.stderr and args[0].lstrip("-") in res.stderr
     assert not out.exists()
 
 
