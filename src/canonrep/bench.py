@@ -1,8 +1,9 @@
 """Sampling, interleaved sums, and decoupling ratio estimation.
 
-Monte Carlo lives here; every statistical estimate is backed at desk
-scale by an exact enumeration of the finite pair law (rational
-arithmetic), so the sampler is only trusted where the oracle agrees.
+Monte Carlo lives here; every even-p estimate is backed by an exact
+rational oracle over the laws of the path sums, so the sampler is only
+trusted where it agrees.  The oracle is ``None`` for odd or fractional p
+and above ``MAX_ORACLE_SUMS`` stored sums.
 
 Sampling is deterministic given (seed, path index): each path draws from
 its own counter-based stream, so path m can be regenerated in isolation
@@ -21,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateBatch
+from .errors import DegenerateBatch, SizeGuard
 from .harmonic import compile_disk, walk_uniforms
 from .jsonio import representation_to_json
 from .martingale import (
@@ -133,21 +134,26 @@ def lp_norm(sums: np.ndarray, p: float) -> tuple[float, float]:
     """Empirical L_p norm of Euclidean path sums, with delta-method SE.
 
     An all-zero batch is degenerate: the estimate and its standard error
-    are both zero.  A standard error needs at least two samples.
+    are both zero.  A standard error needs at least two samples.  Raises
+    DegenerateBatch when the p-th powers or their spread overflow floats.
     """
     if not (1 < p < math.inf):  # false for nan too
         raise ValueError("p must be finite and exceed 1")
     sums = np.asarray(sums, dtype=float)
     if sums.size == 0:
         raise ValueError("empty batch")
-    y = np.linalg.norm(sums, axis=-1) ** p
-    if y.size < 2:
-        raise ValueError("a standard error needs at least two samples")
-    m = float(y.mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        y = np.linalg.norm(sums, axis=-1) ** p
+        if y.size < 2:
+            raise ValueError("a standard error needs at least two samples")
+        m = float(y.mean())
+        sd = float(y.std(ddof=1))
+    if not (math.isfinite(m) and math.isfinite(sd)):
+        raise DegenerateBatch(f"p-th powers of the path sums overflow floats at p={p:g}")
     if m == 0.0:
         return 0.0, 0.0
     est = m ** (1.0 / p)
-    se_m = float(y.std(ddof=1)) / math.sqrt(y.size)
+    se_m = sd / math.sqrt(y.size)
     return est, se_m * est / (p * m)
 
 
@@ -177,12 +183,11 @@ def decoupling_ratio(
     p: float,
     count: int,
     seed: int,
-    exact_depth_limit: int = 4,
 ) -> RatioReport:
     """Monte Carlo estimate of |sum e|_p / |sum d|_p for the decoupled copy.
 
-    The exact enumeration oracle fills in ``exact_ratio`` whenever p is an
-    even integer and the tree is small enough to enumerate.  The report
+    The exact oracle fills in ``exact_ratio`` whenever p is an even integer
+    and its path-sum laws fit in ``MAX_ORACLE_SUMS``.  The report
     keeps the per-path sums it was computed from, so they can be written
     out without sampling again.
     """
@@ -200,12 +205,11 @@ def decoupling_ratio(
         raise DegenerateBatch(f"p-th powers of the path sums overflow floats at p={p:g}")
 
     exact = None
-    if (
-        float(p).is_integer()
-        and int(p) % 2 == 0
-        and rep.depth <= exact_depth_limit
-    ):
-        exact = exact_moment_ratio(rep, int(p))[0]
+    if float(p).is_integer() and int(p) % 2 == 0:
+        try:
+            exact = exact_moment_ratio(rep, int(p))[0]
+        except SizeGuard:
+            pass
 
     return RatioReport(
         ratio=ratio,
@@ -222,39 +226,62 @@ def decoupling_ratio(
     )
 
 
+# Sums the exact oracle may store, counted over all nodes: at 20-45 us per
+# sum it gives up within about 12 s, and every tree of depth <= 7,
+# branching <= 4 and dimension 1 tried fits.
+MAX_ORACLE_SUMS = 2**18
+
+
 def exact_moment_ratio(
     rep: CellRepresentation, p: int
 ) -> tuple[float, Fraction, Fraction]:
     """Exact (ratio, p-th moment of |sum e|, p-th moment of |sum d|).
 
-    Enumerates the finite pair law of the decoupled copy in rational
-    arithmetic; p must be a positive even integer so powers of Euclidean
-    norms stay rational.
+    One backward pass builds, at each node, the exact laws of the remaining
+    direct sum and of the remaining copy sum, merging equal sums.  The
+    copy's cell at a node is independent of the x-cell that picks the
+    child, so its law is the x-mixture of the children's copy laws
+    convolved with the node's own cell law.  p must be a positive even
+    integer so powers of Euclidean norms stay rational.  Raises SizeGuard
+    when the laws would hold more than ``MAX_ORACLE_SUMS`` sums.
     """
     if p <= 0 or p % 2:
-        raise ValueError("exact enumeration needs a positive even integer p")
-    half = p // 2
-    zero = (ZERO,) * rep.dimension
-    moment_d = ZERO
-    moment_e = ZERO
+        raise ValueError("the exact oracle needs a positive even integer p")
+    origin = (ZERO,) * rep.dimension
+    ended = {origin: ONE}  # law of the sum after the last step
+    stored = 0
 
-    def norm_pow(v) -> Fraction:
-        return sum((c * c for c in v), ZERO) ** half
+    def shift(law: dict, step, weight: Fraction, into: dict) -> None:
+        for s, q in law.items():
+            t = tuple(a + b for a, b in zip(s, step))
+            into[t] = into.get(t, ZERO) + weight * q
 
-    def rec(node, prob, sd, se):
-        nonlocal moment_d, moment_e
-        for xcell in node.cells:
-            sd2 = tuple(a + b for a, b in zip(sd, xcell.value))
-            for ycell in node.cells:
-                q = prob * xcell.interval.length * ycell.interval.length
-                se2 = tuple(a + b for a, b in zip(se, ycell.value))
-                if xcell.child is None:
-                    moment_d += q * norm_pow(sd2)
-                    moment_e += q * norm_pow(se2)
-                else:
-                    rec(xcell.child, q, sd2, se2)
+    def laws(node) -> tuple[dict, dict]:
+        nonlocal stored
+        direct: dict = {}
+        mixed: dict = {}  # x-mixture of the children's copy laws
+        for cell in node.cells:
+            sub_d, sub_e = (ended, ended) if cell.child is None else laws(cell.child)
+            shift(sub_d, cell.value, cell.interval.length, direct)
+            shift(sub_e, origin, cell.interval.length, mixed)
+        copy: dict = {}
+        for cell in node.cells:
+            shift(mixed, cell.value, cell.interval.length, copy)
+        stored += len(direct) + len(copy)
+        if stored > MAX_ORACLE_SUMS:
+            raise SizeGuard(
+                f"the exact oracle needs more than {MAX_ORACLE_SUMS} path sums",
+                limit=MAX_ORACLE_SUMS,
+            )
+        return direct, copy
 
-    rec(rep.root, ONE, zero, zero)
+    def moment(law: dict) -> Fraction:
+        return sum(
+            (q * sum((c * c for c in s), ZERO) ** (p // 2) for s, q in law.items()), ZERO
+        )
+
+    law_d, law_e = laws(rep.root)
+    moment_d, moment_e = moment(law_d), moment(law_e)
     if moment_d == 0:
         raise DegenerateBatch("direct path sums have zero p-th moment")
     ratio = float(moment_e / moment_d) ** (1.0 / p)

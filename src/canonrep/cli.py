@@ -225,10 +225,6 @@ def transport(
               callback=_finite_above(1))
 @click.option("--samples", type=click.IntRange(2, MAX_SAMPLES), default=10**5, show_default=True)
 @click.option("--seed", type=SEED_RANGE, required=True)
-@click.option("--depth-limit", type=int, default=4, show_default=True,
-              help="Largest depth the enumeration oracle runs at.")
-@click.option("--exact", is_flag=True,
-              help="Force the enumeration oracle regardless of depth.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Also write per-path sums of both sides.")
@@ -239,8 +235,6 @@ def bench(
     p_norm: float,
     samples: int,
     seed: int,
-    depth_limit: int,
-    exact: bool,
     out_path: str,
     csv_path: str,
     quiet: bool,
@@ -249,10 +243,7 @@ def bench(
     """Estimate the decoupling norm ratio, backed by the exact oracle."""
     _check_format_version(format_version)
     rep = representation_from_json(load_json(in_path))
-    report = bench_mod.decoupling_ratio(
-        rep, p_norm, samples, seed,
-        exact_depth_limit=rep.depth if exact else depth_limit,
-    )
+    report = bench_mod.decoupling_ratio(rep, p_norm, samples, seed)
     doc = {
         "format_version": FORMAT_VERSION,
         "ratio": report.ratio,

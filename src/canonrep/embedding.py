@@ -48,8 +48,8 @@ MAX_STEPS_PER_BLOCK = 10**7  # one block's step arrays stay within a few hundred
 _MAX_ATTEMPTS = 64
 
 
-def phi(t: float) -> float:
-    """Time change mapping block time [0,1) onto inner time [0,inf)."""
+def phi(t):
+    """Time change mapping block time [0,1) onto inner time [0,inf), elementwise."""
     return t / (1.0 - t)
 
 
@@ -145,7 +145,7 @@ def _step_sigmas(cfg: BrownianConfig) -> np.ndarray:
             cap=cfg.phi_cap,
         )
     t = np.arange(n_steps + 1) * cfg.dt_base
-    return np.sqrt(np.diff(t / (1.0 - t)))
+    return np.sqrt(np.diff(phi(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -186,16 +186,6 @@ def joint_law(p: FiniteProcess) -> PathLaw:
     return law
 
 
-def validate_path_law(law: PathLaw) -> None:
-    total = ZERO
-    for path, prob in law.items():
-        if prob <= 0:
-            raise NonPositiveProb(f"path {fmt_prefix(path)} has prob {prob}")
-        total += prob
-    if total != ONE:
-        raise ProbSumNotOne(f"path probabilities sum to {total}")
-
-
 def _prefix_class(p: FiniteProcess, prefix: ValuePath):
     """Weighted set of tree nodes reachable by a value prefix.
 
@@ -272,16 +262,6 @@ def conditional_law(p: FiniteProcess, prefix: ValuePath) -> list[tuple[Value, Fr
         )
     law, _ = _split_class(_prefix_class(p, tuple(prefix)), False)
     return sorted(law.items())
-
-
-def step_marginal_law(p: FiniteProcess, step: int) -> dict[Value, Fraction]:
-    """Unconditional law of the value at 1-based step ``step``."""
-    law = joint_law(p)
-    out: dict[Value, Fraction] = {}
-    for path, prob in law.items():
-        v = path[step - 1]
-        out[v] = out.get(v, ZERO) + prob
-    return out
 
 
 # ---------------------------------------------------------------------------

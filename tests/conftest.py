@@ -4,11 +4,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from canonrep import Branch, FiniteProcess, Node
+from canonrep import Branch, FiniteProcess, Node, joint_law
 
 
 def leaf(*pairs):
     return Node(tuple(Branch(v, p, None) for v, p in pairs))
+
+
+def step_marginal_law(p: FiniteProcess, step: int) -> dict:
+    """Unconditional law of the value at 1-based step ``step``."""
+    out: dict = {}
+    for path, prob in joint_law(p).items():
+        v = path[step - 1]
+        out[v] = out.get(v, F(0)) + prob
+    return out
 
 
 def v1(x):

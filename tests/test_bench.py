@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 from random import Random
 
@@ -9,6 +10,7 @@ from canonrep import (
     DegenerateBatch,
     FiniteProcess,
     NotMartingaleDifference,
+    SizeGuard,
     canonical_representation,
     construct_ci_copy,
     decoupling_ratio,
@@ -23,6 +25,7 @@ from canonrep import (
     sample_paths,
     sign_transform,
 )
+from canonrep import bench
 from canonrep.stats import chi_square_gof
 
 from conftest import leaf, v1
@@ -290,3 +293,70 @@ def test_ratio_degenerate_zero_process():
 def test_exact_moment_ratio_requires_even_p(coin_rep):
     with pytest.raises(ValueError):
         exact_moment_ratio(coin_rep, 3)
+
+
+# ---------------------------------------------------------------------------
+# exact oracle against an enumeration of the pair law
+
+def _enumerated_moments(rep, ps):
+    """Reference: {p: (p-th moment of |sum e|, p-th moment of |sum d|)} for
+    each even p in ``ps``, enumerating every (x-cell, y-cell) chain of the
+    decoupled copy, (k^2)^N leaves in all."""
+    zero = (F(0),) * rep.dimension
+    moments = {p: [F(0), F(0)] for p in ps}
+
+    def rec(node, prob, sd, se):
+        for xcell in node.cells:
+            sd2 = tuple(a + b for a, b in zip(sd, xcell.value))
+            for ycell in node.cells:
+                q = prob * xcell.interval.length * ycell.interval.length
+                se2 = tuple(a + b for a, b in zip(se, ycell.value))
+                if xcell.child is None:
+                    norm_d = sum((c * c for c in sd2), F(0))
+                    norm_e = sum((c * c for c in se2), F(0))
+                    for p, m in moments.items():
+                        m[0] += q * norm_e ** (p // 2)
+                        m[1] += q * norm_d ** (p // 2)
+                else:
+                    rec(xcell.child, q, sd2, se2)
+
+    rec(rep.root, F(1), zero, zero)
+    return {p: tuple(m) for p, m in moments.items()}
+
+
+def _assert_matches_enumeration(rep, ps):
+    for p, (me, md) in _enumerated_moments(rep, ps).items():
+        if md == 0:
+            with pytest.raises(DegenerateBatch):
+                exact_moment_ratio(rep, p)
+        else:
+            assert exact_moment_ratio(rep, p) == (float(me / md) ** (1.0 / p), me, md)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_exact_moment_ratio_equals_enumeration(depth):
+    for branching in range(1, 5):
+        for dimension in range(1, 4):
+            seed = 100 * depth + 10 * branching + dimension
+            rep = represent_mds(random_process(depth, branching, dimension, seed=seed, mds=True))
+            _assert_matches_enumeration(rep, (2, 4, 6))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_exact_moment_ratio_high_p_is_exact_and_quick(depth):
+    # the pass builds laws of sums, so its cost does not grow with p
+    rep = represent_mds(random_process(depth, 3, 2, seed=0, mds=True))
+    start = time.perf_counter()
+    for p in (40, 200):
+        exact_moment_ratio(rep, p)
+    assert time.perf_counter() - start < 2.0
+    _assert_matches_enumeration(rep, (40, 200))
+
+
+def test_exact_moment_ratio_guard(monkeypatch):
+    rep = represent_mds(random_process(3, 3, 1, seed=5, mds=True))
+    assert exact_moment_ratio(rep, 2)[0] == 1.0
+    monkeypatch.setattr(bench, "MAX_ORACLE_SUMS", 3)
+    with pytest.raises(SizeGuard, match="more than 3 path sums"):
+        exact_moment_ratio(rep, 2)
+    assert decoupling_ratio(rep, 2.0, 1000, seed=1).exact_ratio is None

@@ -223,26 +223,55 @@ def test_bench_csv(runner, tmp_path):
             assert cell == repr(float(cell))
 
 
-def test_bench_exact_flag_forces_oracle(runner, tmp_path):
+def test_bench_oracle_has_no_options(runner, tmp_path):
+    # the oracle runs whenever p is even; no option limits or forces it
+    assert {opt for param in main.commands["bench"].params for opt in param.opts} == {
+        "--in", "--p", "--samples", "--seed", "--out", "--csv", "--quiet",
+        "--format-version",
+    }
     p_path = _gen(runner, tmp_path)
     r_path = tmp_path / "r.json"
     runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
     out = tmp_path / "b.json"
-    # depth-limit 0 would normally skip the oracle; --exact forces it
     res = runner.invoke(
         main,
         ["bench", "--in", str(r_path), "--p", "2", "--samples", "2000",
-         "--seed", "3", "--depth-limit", "0", "--exact", "--out", str(out)],
+         "--seed", "3", "--out", str(out)],
     )
     assert res.exit_code == 0, res.output
     assert load_json(out)["oracle"]["exact_ratio"] == 1.0
+
+
+def test_bench_oracle_at_depth_6(runner, tmp_path):
+    p_path = _gen(runner, tmp_path, depth=6)
+    r_path = tmp_path / "r.json"
+    runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
+    out = tmp_path / "b.json"
     res = runner.invoke(
         main,
         ["bench", "--in", str(r_path), "--p", "2", "--samples", "2000",
-         "--seed", "3", "--depth-limit", "0", "--out", str(out)],
+         "--seed", "3", "--out", str(out)],
     )
-    assert res.exit_code == 0
+    assert res.exit_code == 0, res.output
+    assert load_json(out)["oracle"]["exact_ratio"] == 1.0
+
+
+def test_bench_oracle_above_guard_is_null(runner, tmp_path, monkeypatch):
+    from canonrep import bench
+
+    monkeypatch.setattr(bench, "MAX_ORACLE_SUMS", 3)
+    p_path = _gen(runner, tmp_path)
+    r_path = tmp_path / "r.json"
+    runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
+    out = tmp_path / "b.json"
+    res = runner.invoke(
+        main,
+        ["bench", "--in", str(r_path), "--p", "2", "--samples", "2000",
+         "--seed", "3", "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
     assert load_json(out)["oracle"]["exact_ratio"] is None
+    assert "exact=none" in res.output
 
 
 def test_decouple_copy_marginal_true_for_independent_source(runner, tmp_path):
@@ -511,6 +540,7 @@ def test_skorohod_bad_grid_reported_before_simulating(runner, tmp_path, grid, co
 # inputs found by fuzzing (tests/test_fuzz.py) that ended in a traceback or
 # a silent nan
 
+@pytest.mark.filterwarnings("error")
 def test_bench_overflowing_p_fails_closed(runner, tmp_path):
     # the path sums' 1000th powers overflow floats; the ratio was nan and
     # the oracle gate, comparing against nan, passed

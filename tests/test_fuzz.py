@@ -183,12 +183,18 @@ def sample_counts(most: int):
 
 
 def test_fuzzed_bench_parameters(docs, tmp_path):
+    # a valid call must run, or a renamed option would make every example
+    # below a usage error that still counts as a defined exit
+    res = _run(tmp_path, "bench", docs["representation"], "--p", "2",
+               "--samples", "50", "--seed", "1")
+    assert res.exit_code == 0, res.output
+
     @FUZZ
-    @given(p=numbers, samples=sample_counts(200), limit=numbers, seed=numbers)
-    def check(p, samples, limit, seed):
+    @given(p=numbers, samples=sample_counts(200), seed=numbers)
+    def check(p, samples, seed):
         _assert_defined_exit(_run(
             tmp_path, "bench", docs["representation"], "--p", p, "--samples", samples,
-            "--depth-limit", limit, "--seed", seed,
+            "--seed", seed,
         ))
 
     check()

@@ -25,9 +25,12 @@ from canonrep import (
     swap_components,
     validate_process,
 )
-from canonrep.process import step_marginal_law, validate_path_law
+from conftest import leaf, step_marginal_law, v1
 
-from conftest import leaf, v1
+
+def validate_path_law(law) -> None:
+    assert all(prob > 0 for prob in law.values())
+    assert sum(law.values()) == 1
 
 
 # ---------------------------------------------------------------------------

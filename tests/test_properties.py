@@ -27,7 +27,7 @@ from canonrep import (
     validate_process,
     verify_zero_sections,
 )
-from canonrep.process import step_marginal_law
+from conftest import step_marginal_law
 
 
 @st.composite
