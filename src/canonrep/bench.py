@@ -2,8 +2,9 @@
 
 Monte Carlo lives here; every even-p estimate is backed by an exact
 rational oracle over the laws of the path sums, so the sampler is only
-trusted where it agrees.  The oracle is ``None`` for odd or fractional p
-and above ``MAX_ORACLE_SUMS`` stored sums.
+trusted where it agrees.  The oracle is ``None`` for odd or fractional p,
+above ``MAX_ORACLE_SUMS`` stored sums or ``MAX_ORACLE_BITS`` bits per
+power, and when the exact ratio overflows floats.
 
 Sampling is deterministic given (seed, path index): each path draws from
 its own counter-based stream, so path m can be regenerated in isolation
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -187,7 +189,7 @@ def decoupling_ratio(
     """Monte Carlo estimate of |sum e|_p / |sum d|_p for the decoupled copy.
 
     The exact oracle fills in ``exact_ratio`` whenever p is an even integer
-    and its path-sum laws fit in ``MAX_ORACLE_SUMS``.  The report
+    and it passes its size guards.  The report
     keeps the per-path sums it was computed from, so they can be written
     out without sampling again.
     """
@@ -230,6 +232,11 @@ def decoupling_ratio(
 # sum it gives up within about 12 s, and every tree of depth <= 7,
 # branching <= 4 and dimension 1 tried fits.
 MAX_ORACLE_SUMS = 2**18
+# Bits of the largest p-th power the oracle may form, p/2 times the bits of
+# the largest squared norm: summing the powers costs a gcd of that size per
+# sum, so at this cap the 4,183 sums of a depth-6, branching-3 tree take
+# about 2 s, while p = 1e12 is refused before any power is formed.
+MAX_ORACLE_BITS = 2**14
 
 
 def exact_moment_ratio(
@@ -243,7 +250,9 @@ def exact_moment_ratio(
     child, so its law is the x-mixture of the children's copy laws
     convolved with the node's own cell law.  p must be a positive even
     integer so powers of Euclidean norms stay rational.  Raises SizeGuard
-    when the laws would hold more than ``MAX_ORACLE_SUMS`` sums.
+    when the laws would hold more than ``MAX_ORACLE_SUMS`` sums, when a p-th
+    power would need more than ``MAX_ORACLE_BITS`` bits, or when the ratio
+    of the moments lies outside the normal float range.
     """
     if p <= 0 or p % 2:
         raise ValueError("the exact oracle needs a positive even integer p")
@@ -275,14 +284,26 @@ def exact_moment_ratio(
             )
         return direct, copy
 
-    def moment(law: dict) -> Fraction:
-        return sum(
-            (q * sum((c * c for c in s), ZERO) ** (p // 2) for s, q in law.items()), ZERO
-        )
+    def squared_norms(law: dict) -> list:
+        return [(q, sum((c * c for c in s), ZERO)) for s, q in law.items()]
 
-    law_d, law_e = laws(rep.root)
-    moment_d, moment_e = moment(law_d), moment(law_e)
+    norms_d, norms_e = (squared_norms(law) for law in laws(rep.root))
+    bits = p // 2 * max(
+        n.numerator.bit_length() + n.denominator.bit_length() for _, n in norms_d + norms_e
+    )
+    if bits > MAX_ORACLE_BITS:
+        raise SizeGuard(
+            f"the exact oracle's p-th powers would need more than {MAX_ORACLE_BITS} bits",
+            bits=bits,
+            limit=MAX_ORACLE_BITS,
+        )
+    moment_d, moment_e = (
+        sum((q * n ** (p // 2) for q, n in norms), ZERO) for norms in (norms_d, norms_e)
+    )
     if moment_d == 0:
         raise DegenerateBatch("direct path sums have zero p-th moment")
-    ratio = float(moment_e / moment_d) ** (1.0 / p)
+    exact = moment_e / moment_d
+    if exact > sys.float_info.max or 0 < exact < sys.float_info.min:
+        raise SizeGuard("the exact moment ratio lies outside the normal float range")
+    ratio = float(exact) ** (1.0 / p)
     return ratio, moment_e, moment_d

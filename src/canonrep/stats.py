@@ -2,10 +2,43 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of the chi-square law with a positive integer dof.
+
+    For an integer dof the tail is erfc(sqrt(x/2)) when dof is odd, plus
+    the finite sum of (x/2)^a e^(-x/2) / Gamma(a+1) over a = 0, 1, ...,
+    dof/2 - 1 (even dof) or a = 1/2, 3/2, ..., dof/2 - 1 (odd dof)
+    (Abramowitz & Stegun 26.4.4-5).  Each term is formed in log space, so
+    e^(-x/2) cannot underflow before its large cofactor is applied.  The
+    log-terms are concave in a, so only a window of 40 sqrt(x/2) + 40 on
+    either side of the largest term is summed: every term outside it is
+    below e^-800 times that largest one.
+    """
+    if math.isnan(x):
+        raise ValueError("the chi-square statistic is nan")
+    if dof < 1:
+        raise ValueError("the chi-square law needs a positive integer dof")
+    half = x / 2
+    if half <= 0.0:  # x <= 0, or so small that x/2 rounds to 0
+        return 1.0
+    if half == math.inf:
+        return 0.0
+    log_half = math.log(half)
+    odd = dof % 2
+    count = dof // 2  # terms a = i + odd/2 for i = 0 .. count-1
+    peak = min(max(round(half - odd / 2), 0), count - 1)
+    width = math.ceil(40 * math.sqrt(half)) + 40
+    window = range(max(peak - width, 0), min(peak + width + 1, count))
+    terms = (math.exp(a * log_half - half - math.lgamma(a + 1))
+             for a in (i + odd / 2 for i in window))
+    head = math.erfc(math.sqrt(half)) if odd else 0.0
+    return min(1.0, math.fsum((head, *terms)))
 
 
 @dataclass(frozen=True)
@@ -35,6 +68,8 @@ def chi_square_gof(
     probs = np.asarray(probs, dtype=float)
     if observed.shape != probs.shape:
         raise ValueError("observed and probs must have the same shape")
+    if not (np.isfinite(observed).all() and np.isfinite(probs).all()):
+        raise ValueError("observed and probs must be finite")
     total = observed.sum()
     expected = probs * total
     keep = expected >= min_expected
@@ -48,4 +83,4 @@ def chi_square_gof(
         return ChiSquareResult(0.0, 0, 1.0, pooled)
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = len(obs) - 1
-    return ChiSquareResult(stat, dof, float(_sps.chi2.sf(stat, dof)), pooled)
+    return ChiSquareResult(stat, dof, chi2_sf(stat, dof), pooled)

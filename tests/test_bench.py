@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from canonrep import (
+    Branch,
     DegenerateBatch,
     FiniteProcess,
+    Node,
     NotMartingaleDifference,
     SizeGuard,
     canonical_representation,
@@ -360,3 +362,28 @@ def test_exact_moment_ratio_guard(monkeypatch):
     with pytest.raises(SizeGuard, match="more than 3 path sums"):
         exact_moment_ratio(rep, 2)
     assert decoupling_ratio(rep, 2.0, 1000, seed=1).exact_ratio is None
+
+
+def test_exact_moment_ratio_refuses_huge_powers():
+    # sums of norm 1 and 1/2 keep the float estimates finite at any p, so
+    # only the bits guard stops Fraction(1, 4) ** (p // 2) from growing with p
+    rep = represent_mds(FiniteProcess(1, 1, leaf((v1(1), F(1, 3)), (v1(F(-1, 2)), F(2, 3)))))
+    assert exact_moment_ratio(rep, 2)[0] == 1.0
+    start = time.perf_counter()
+    with pytest.raises(SizeGuard, match="more than 16384 bits"):
+        exact_moment_ratio(rep, 10**12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_moment_ratio_refuses_ratio_beyond_floats(monkeypatch):
+    # at p = 8400 the exact moment ratio of this depth-2 tree exceeds 1e308
+    # while its p-th root, and the float estimates, stay near 1.09
+    inner = leaf((v1(F(1, 12)), F(1, 2)), (v1(F(-1, 12)), F(1, 2)))
+    outer = leaf((v1(F(10, 12)), F(1, 2)), (v1(F(-10, 12)), F(1, 2)))
+    root = Node((Branch(v1(F(2, 12)), F(1, 3), inner), Branch(v1(F(-1, 12)), F(2, 3), outer)))
+    rep = represent_mds(FiniteProcess(1, 2, root))
+    monkeypatch.setattr(bench, "MAX_ORACLE_BITS", 10**6)
+    assert exact_moment_ratio(rep, 8000)[0] == pytest.approx(1.09076, abs=1e-5)
+    with pytest.raises(SizeGuard, match="float range"):
+        exact_moment_ratio(rep, 8400)
+    assert decoupling_ratio(rep, 8400.0, 2000, seed=1).exact_ratio is None

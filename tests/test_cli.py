@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -270,6 +271,40 @@ def test_bench_oracle_above_guard_is_null(runner, tmp_path, monkeypatch):
          "--seed", "3", "--out", str(out)],
     )
     assert res.exit_code == 0, res.output
+    assert load_json(out)["oracle"]["exact_ratio"] is None
+    assert "exact=none" in res.output
+
+
+# a depth-2 MDS tree whose exact moment ratio at p = 8400 exceeds 1e308
+OVERFLOW_TREE = (
+    '{"format_version":1,"dimension":1,"depth":2,"root":{"branches":['
+    '{"prob":"1/3","value":["2/12"],"child":{"branches":['
+    '{"prob":"1/2","value":["1/12"]},{"prob":"1/2","value":["-1/12"]}]}},'
+    '{"prob":"2/3","value":["-1/12"],"child":{"branches":['
+    '{"prob":"1/2","value":["10/12"]},{"prob":"1/2","value":["-10/12"]}]}}]}}'
+)
+# sums of norm 1 and 1/2: the float estimates stay finite at any p
+HALVES_TREE = (
+    '{"format_version":1,"dimension":1,"depth":1,"root":{"branches":['
+    '{"prob":"1/3","value":["1"]},{"prob":"2/3","value":["-1/2"]}]}}'
+)
+
+
+@pytest.mark.parametrize("tree, p", [(OVERFLOW_TREE, "8400"), (HALVES_TREE, "1e12")])
+def test_bench_oracle_out_of_reach_is_null(runner, tmp_path, tree, p):
+    p_path, r_path, out = tmp_path / "p.json", tmp_path / "r.json", tmp_path / "b.json"
+    p_path.write_text(tree)
+    res = runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
+    assert res.exit_code == 0, res.output
+    start = time.perf_counter()
+    res = runner.invoke(
+        main,
+        ["bench", "--in", str(r_path), "--p", p, "--samples", "2000",
+         "--seed", "1", "--out", str(out)],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 0, res.output
+    assert res.exception is None
     assert load_json(out)["oracle"]["exact_ratio"] is None
     assert "exact=none" in res.output
 
