@@ -297,9 +297,7 @@ def exact_moment_ratio(
             bits=bits,
             limit=MAX_ORACLE_BITS,
         )
-    moment_d, moment_e = (
-        sum((q * n ** (p // 2) for q, n in norms), ZERO) for norms in (norms_d, norms_e)
-    )
+    moment_d, moment_e = (_power_sum(norms, p // 2) for norms in (norms_d, norms_e))
     if moment_d == 0:
         raise DegenerateBatch("direct path sums have zero p-th moment")
     exact = moment_e / moment_d
@@ -307,3 +305,11 @@ def exact_moment_ratio(
         raise SizeGuard("the exact moment ratio lies outside the normal float range")
     ratio = float(exact) ** (1.0 / p)
     return ratio, moment_e, moment_d
+
+
+def _power_sum(norms: list, m: int) -> Fraction:
+    """Sum of q * n**m, in integers over lcm(q dens) * lcm(n dens)**m: a running
+    Fraction sum would take a gcd that size on every term."""
+    dq, dn = (math.lcm(*(x.denominator for x in xs)) for xs in zip(*norms))
+    return Fraction(sum(q.numerator * (dq // q.denominator) * (
+        n.numerator * (dn // n.denominator)) ** m for q, n in norms), dq * dn**m)

@@ -95,6 +95,8 @@ def process_from_json(doc: dict) -> FiniteProcess:
         root_doc = doc["root"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed process document: {exc}") from exc
+    # equal subtrees share one Node; children are interned first, so their ids are stable
+    interned: dict[tuple, Node] = {}
 
     def node_from(nd) -> Node:
         if not isinstance(nd, dict) or "branches" not in nd:
@@ -119,7 +121,8 @@ def process_from_json(doc: dict) -> FiniteProcess:
                 )
             child = node_from(child_doc) if child_doc is not None else None
             out.append(Branch(value, prob, child))
-        return Node(tuple(out))
+        key = tuple((br.value, br.prob, id(br.child)) for br in out)
+        return interned.setdefault(key, Node(tuple(out)))
 
     return FiniteProcess(dimension, depth, node_from(root_doc))
 

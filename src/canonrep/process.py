@@ -13,7 +13,9 @@ branches that happen to carry equal values are aggregated before any law
 is computed or compared.
 
 All objects are immutable after construction and all operations are
-pure, so concurrent reads are safe.
+pure, so concurrent reads are safe, and trees may share nodes (``pair_law``
+and ``jsonio.process_from_json`` do).  ``is_mds``, ``are_tangent`` and
+``satisfies_ci`` visit each distinct prefix class once (``iter_prefix_laws``).
 """
 
 from __future__ import annotations
@@ -119,10 +121,14 @@ def validate_process(p: FiniteProcess) -> None:
         raise RaggedDepth("depth must be at least 1")
     if p.dimension < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    _validate_node(p.root, (), p)
+    _validate_node(p.root, (), p, set())
 
 
-def _validate_node(node: Node, prefix: ValuePath, p: FiniteProcess) -> None:
+def _validate_node(node: Node, prefix: ValuePath, p: FiniteProcess, seen: set) -> None:
+    # depth first: a first visit at this level raised or validated the subtree
+    if (id(node), len(prefix)) in seen:
+        return
+    seen.add((id(node), len(prefix)))
     where = fmt_prefix(prefix)
     if not node.branches:
         raise RaggedDepth(f"node {where} has no branches", prefix=prefix)
@@ -159,7 +165,7 @@ def _validate_node(node: Node, prefix: ValuePath, p: FiniteProcess) -> None:
                     f"{p.depth}",
                     prefix=prefix,
                 )
-            _validate_node(br.child, prefix + (br.value,), p)
+            _validate_node(br.child, prefix + (br.value,), p, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +237,29 @@ def _split_class(cls, deeper: bool):
     return law, {v: [(n, w / law[v]) for n, w in sub] for v, sub in children.items()}
 
 
-def iter_prefix_laws(p: FiniteProcess) -> Iterator[tuple[ValuePath, dict[Value, Fraction]]]:
+def iter_prefix_laws(p: FiniteProcess, prune_key=None) -> Iterator[tuple[ValuePath, dict]]:
     """Yield (prefix, law of the next value) for every realizable prefix
     shorter than the depth, equal values on distinct branches aggregated.
 
     Prefixes come depth first from a stack, each node's extensions pushed
     in first-seen value order, so a check that stops at its first failure
     always reports the same prefix.
+
+    With ``prune_key``, a prefix whose class (the weighted nodes it reaches)
+    and ``prune_key(prefix)`` were both seen is skipped with its subtree: the
+    class fixes every law below, and the first occurrence's subtree was walked
+    before the repeat is popped, so a check that stops at its first failure
+    keeps its verdict and witness.
     """
+    seen = set()
     stack = [((), [(p.root, ONE)])]
     while stack:
         prefix, cls = stack.pop()
+        if prune_key is not None:
+            key = (prune_key(prefix), tuple((id(node), w) for node, w in cls))
+            if key in seen:
+                continue
+            seen.add(key)
         law, children = _split_class(cls, len(prefix) + 1 < p.depth)
         yield prefix, law
         for v, sub in children.items():
@@ -271,7 +289,7 @@ def _zero_mean_check(p: FiniteProcess, part: slice) -> CheckResult:
     """Exact zero conditional mean of the coordinates ``part`` of each value,
     at every realizable prefix; the witness names the first failure."""
     zero = (ZERO,) * len(range(p.dimension)[part])
-    for prefix, law in iter_prefix_laws(p):
+    for prefix, law in iter_prefix_laws(p, len):
         mean = zero
         for v, q in law.items():
             mean = tuple(m + q * c for m, c in zip(mean, v[part]))
@@ -305,7 +323,7 @@ def are_tangent(pq: PairProcess) -> CheckResult:
     (value, prob) lists after aggregating equal values).
     """
     d = pq.component_dim
-    for prefix, law in iter_prefix_laws(pq.process):
+    for prefix, law in iter_prefix_laws(pq.process, len):
         f_law = _component_law(law, d, 0)
         g_law = _component_law(law, d, 1)
         if f_law != g_law:
@@ -320,6 +338,29 @@ def are_tangent(pq: PairProcess) -> CheckResult:
     return CheckResult(True, None)
 
 
+def _ci_local_test(pq: PairProcess, checked_component: int) -> bool:
+    """(C.I.) by local laws: each step law is the product a x b of its other-
+    and checked-component laws, with (a, b) a function of the other history
+    f alone.  Then P(f, g) = prod a_n(f_n | f_<n) b_n(g_n | f_<n), which is
+    (C.I.) with the declared b_n; on a valid pair the converse holds too."""
+    d = pq.component_dim
+    halves = (slice(None, d), slice(d, None))
+    other, checked = halves[1 - checked_component], halves[checked_component]
+
+    def history(prefix: ValuePath) -> ValuePath:
+        return tuple(v[other] for v in prefix)
+
+    given: dict[ValuePath, tuple] = {}
+    for prefix, law in iter_prefix_laws(pq.process, history):
+        a = _component_law(law, d, 1 - checked_component)
+        b = _component_law(law, d, checked_component)
+        if len(law) != len(a) * len(b) or any(
+            q != a[v[other]] * b[v[checked]] for v, q in law.items()
+        ) or given.setdefault(history(prefix), (a, b)) != (a, b):
+            return False
+    return True
+
+
 def satisfies_ci(pq: PairProcess, checked_component: int = 1) -> CheckResult:
     """Exact condition-(C.I.) check for one component of a pair process.
 
@@ -332,9 +373,14 @@ def satisfies_ci(pq: PairProcess, checked_component: int = 1) -> CheckResult:
 
     ``checked_component`` is 0 for the first half of each value, 1 for
     the second (the decoupled copy convention).
+
+    A local test over the distinct prefix classes runs first; the fiber
+    check on the whole ``joint_law`` is the fallback that names a failure.
     """
     if checked_component not in (0, 1):
         raise ValueError("checked_component must be 0 or 1")
+    if _ci_local_test(pq, checked_component):
+        return CheckResult(True, None)
     d = pq.component_dim
     n_steps = pq.process.depth
     law = joint_law(pq.process)

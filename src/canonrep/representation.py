@@ -128,14 +128,18 @@ def canonical_representation(p: FiniteProcess) -> CellRepresentation:
 
     Sibling branches with equal values are aggregated (their probabilities
     summed and their subtrees merged as a mixture) before sorting, so each
-    node of the result carries strictly ascending values.
+    node of the result carries strictly ascending values.  Equal mixtures
+    share one RepNode, so the result shares what ``p`` shares.
     """
     validate_process(p)
-    root = _build_node([(p.root, ONE)], p.depth)
+    root = _build_node([(p.root, ONE)], p.depth, {})
     return CellRepresentation(p.dimension, p.depth, root)
 
 
-def _build_node(mixture: list[tuple[Node, Fraction]], steps_left: int) -> RepNode:
+def _build_node(mixture: list[tuple[Node, Fraction]], steps_left: int, memo: dict) -> RepNode:
+    key = (steps_left, tuple((id(node), w) for node, w in mixture))
+    if key in memo:
+        return memo[key]
     groups: dict[Value, Fraction] = {}
     children: dict[Value, list[tuple[Node, Fraction]]] = {}
     for node, w in mixture:
@@ -151,11 +155,12 @@ def _build_node(mixture: list[tuple[Node, Fraction]], steps_left: int) -> RepNod
         child = None
         if steps_left > 1:
             sub = [(n, sw / total) for n, sw in children[v]]
-            child = _build_node(sub, steps_left - 1)
+            child = _build_node(sub, steps_left - 1, memo)
         cells.append(Cell(Interval(lo, hi), v, child))
         lo = hi
     assert lo == ONE
-    return _make_rep_node(cells)
+    memo[key] = _make_rep_node(cells)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ def leaf(*pairs):
     return Node(tuple(Branch(v, p, None) for v, p in pairs))
 
 
+def unshared(node: Node) -> Node:
+    """A copy of the tree under ``node`` in which no two branches share a node."""
+    return Node(tuple(
+        Branch(br.value, br.prob, None if br.child is None else unshared(br.child))
+        for br in node.branches
+    ))
+
+
 def step_marginal_law(p: FiniteProcess, step: int) -> dict:
     """Unconditional law of the value at 1-based step ``step``."""
     out: dict = {}

@@ -387,3 +387,42 @@ def test_exact_moment_ratio_refuses_ratio_beyond_floats(monkeypatch):
     with pytest.raises(SizeGuard, match="float range"):
         exact_moment_ratio(rep, 8400)
     assert decoupling_ratio(rep, 8400.0, 2000, seed=1).exact_ratio is None
+
+
+def _fraction_power_sum(norms, m):
+    """Reference: the running Fraction sum the integer summation replaced."""
+    return sum((q * n ** m for q, n in norms), F(0))
+
+
+def test_power_sum_equals_fraction_summation():
+    rng = Random(17)
+    for _ in range(200):
+        norms = [
+            (F(rng.randint(1, 50), rng.randint(1, 60)), F(rng.randint(0, 40), rng.randint(1, 90)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        m = rng.randint(0, 30)
+        assert bench._power_sum(norms, m) == _fraction_power_sum(norms, m)
+
+
+@pytest.mark.parametrize("depth,branching,dimension", [(2, 3, 1), (3, 3, 2), (4, 3, 1)])
+def test_oracle_moments_equal_fraction_summation(monkeypatch, depth, branching, dimension):
+    """On random trees, at a small p and at the largest p the bits cap lets
+    through, both moments equal the Fraction summation of the same terms."""
+    rep = represent_mds(random_process(depth, branching, dimension, seed=33 + depth, mds=True))
+    calls = []
+    real = bench._power_sum
+    monkeypatch.setattr(bench, "_power_sum", lambda norms, m: calls.append((norms, m)) or real(norms, m))
+    exact_moment_ratio(rep, 4)
+    bits = max(n.numerator.bit_length() + n.denominator.bit_length() for n in (
+        n for norms, _ in calls for _, n in norms))
+    p = 2 * (bench.MAX_ORACLE_BITS // bits)
+    _, moment_e, moment_d = exact_moment_ratio(rep, p)
+    (norms_d, m), (norms_e, _) = calls[-2:]
+    assert m == p // 2 and len(calls) == 4
+    assert (moment_e, moment_d) == (
+        _fraction_power_sum(norms_e, m), _fraction_power_sum(norms_d, m))
+    for norms, m in calls[:2]:
+        assert real(norms, m) == _fraction_power_sum(norms, m)
+    with pytest.raises(SizeGuard, match="bits"):
+        exact_moment_ratio(rep, p + 2)

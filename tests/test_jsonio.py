@@ -4,16 +4,22 @@ from fractions import Fraction as F
 import pytest
 
 from canonrep import (
+    FiniteProcess,
     FormatError,
     canonical_representation,
+    construct_ci_copy,
     joint_law,
     law_of_representation,
+    pair_law,
     random_process,
+    represent_mds,
     validate_process,
 )
 from canonrep.jsonio import (
     dump_json,
     load_json,
+    pair_process_from_json,
+    pair_process_to_json,
     parse_frac,
     process_from_json,
     process_to_json,
@@ -21,6 +27,7 @@ from canonrep.jsonio import (
     representation_to_json,
 )
 
+from conftest import unshared
 
 
 def test_parse_frac_forms():
@@ -124,3 +131,65 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_text('{"format_version": 1, "dimension"')
     with pytest.raises(FormatError):
         load_json(path)
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees: interned on load, written out in full
+
+def _distinct_nodes(node) -> int:
+    seen, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(br.child for br in node.branches if br.child is not None)
+    return len(seen)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_pair_law_sharing_survives_json(depth):
+    rep = represent_mds(random_process(depth, 4, 1, seed=depth + 20, mds=True))
+    built = pair_law(construct_ci_copy(rep))
+    doc = json.loads(json.dumps(pair_process_to_json(built)))
+    loaded = pair_process_from_json(doc)
+    assert loaded == built
+    assert _distinct_nodes(loaded.process.root) <= _distinct_nodes(built.process.root)
+    assert _distinct_nodes(loaded.process.root) < _distinct_nodes(
+        unshared(built.process.root))
+    assert pair_process_to_json(loaded) == doc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_process_json_round_trip_is_exact(seed):
+    p = random_process(3, 3, 2, seed=seed, mds=seed % 2 == 0)
+    rep = canonical_representation(p)
+    for q in (p, pair_law(construct_ci_copy(rep)).process):
+        doc = json.loads(json.dumps(process_to_json(q)))
+        assert process_to_json(process_from_json(doc)) == doc
+
+
+def test_interning_keys_on_values_not_spelling():
+    # "1/2" and "2/4" parse to one rational, so the two leaves become one node
+    def leaf(up, down):
+        return {"branches": [{"value": ["1"], "prob": up, "child": None},
+                             {"value": ["-1"], "prob": down, "child": None}]}
+
+    doc = {"format_version": 1, "dimension": 1, "depth": 2, "root": {"branches": [
+        {"value": ["0"], "prob": "1/3", "child": leaf("1/2", "1/2")},
+        {"value": ["1"], "prob": "1/3", "child": leaf("1/2", "2/4")},
+        {"value": ["2"], "prob": "1/3", "child": leaf("1/3", "2/3")},  # kept apart
+    ]}}
+    p = process_from_json(doc)
+    first, second, third = (br.child for br in p.root.branches)
+    assert first is second and third is not first
+    validate_process(p)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_representation_bytes_ignore_sharing(depth):
+    rep = represent_mds(random_process(depth, 4, 1, seed=10 + depth, mds=True))
+    shared = pair_law(construct_ci_copy(rep)).process
+    flat = FiniteProcess(shared.dimension, shared.depth, unshared(shared.root))
+    got = representation_to_json(canonical_representation(shared))
+    want = representation_to_json(canonical_representation(flat))
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

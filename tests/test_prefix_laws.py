@@ -32,6 +32,8 @@ from canonrep import (
     generalized_inverse,
     is_mds,
     iter_prefix_laws,
+    joint_law,
+    law_of_representation,
     pair_from_identical,
     pair_law,
     random_dyadic_mds,
@@ -44,8 +46,14 @@ from canonrep import (
     verify_transport_consistency,
 )
 from canonrep.harmonic import arc_function, compile_disk
-from canonrep.jsonio import process_to_json
+from canonrep.jsonio import (
+    pair_process_from_json,
+    pair_process_to_json,
+    process_from_json,
+    process_to_json,
+)
 from canonrep.martingale import component_conditional_means
+from canonrep.process import _ci_local_test
 from canonrep.representation import locate_aug_node, locate_node
 from canonrep.transport import SectionTransport, TransportMap
 
@@ -279,7 +287,18 @@ def _processes(n=40, seed=5):
         out.append(_coarsen(random_process(depth, branching, dim, s)))
     out.append(random_independent_process(3, 3, 1, rng.randrange(10**9), mds=True))
     out.append(random_dyadic_mds(3, 2, 1, rng.randrange(10**9)))
+    out.append(REWEIGHTED)
     return out
+
+
+# prefixes (1) and (-1) reach the same two nodes with other weights, so
+# their classes differ and only (-1), walked second, has a nonzero mean
+_UP = leaf(((F(2),), F(1, 2)), ((F(0),), F(1, 2)))
+_DOWN = leaf(((F(-2),), F(1, 2)), ((F(0),), F(1, 2)))
+REWEIGHTED = FiniteProcess(1, 2, Node((
+    Branch((F(-1),), F(1, 6), _UP), Branch((F(-1),), F(1, 3), _DOWN),
+    Branch((F(1),), F(1, 4), _UP), Branch((F(1),), F(1, 4), _DOWN),
+)))
 
 
 def _pairs(n=25, seed=7):
@@ -306,8 +325,74 @@ def _pairs(n=25, seed=7):
     return out
 
 
+def _json_twin(pq: PairProcess) -> PairProcess:
+    """The pair read back from its JSON, with equal subtrees shared."""
+    return pair_process_from_json(pair_process_to_json(pq))
+
+
+def _pair_law(*atoms):
+    return tuple(((F(f), F(g)), F(q)) for (f, g), q in atoms)
+
+
+# tangent, and both components have zero conditional mean
+GOOD_LAWS = (
+    _pair_law(((1, 1), "1/2"), ((-1, -1), "1/2")),
+    _pair_law(((1, -1), "1/2"), ((-1, 1), "1/2")),
+    _pair_law(((1, 1), "1/4"), ((1, -1), "1/4"), ((-1, 1), "1/4"), ((-1, -1), "1/4")),
+    _pair_law(((2, 2), "1/3"), ((-1, -1), "2/3")),
+)
+BAD_LAWS = (
+    _pair_law(((1, 0), "1/2"), ((-1, 1), "1/2")),  # not tangent, second mean 1/2
+    _pair_law(((1, 1), "1/2"), ((0, 0), "1/2")),  # tangent, both means 1/2
+    _pair_law(((2, 1), "1/3"), ((-1, "-1/2"), "2/3")),  # zero means, not tangent
+    _pair_law(((0, 1), "1/2"), ((1, -1), "1/2")),  # not tangent, first mean 1/2
+)
+
+
+def _law_node(law, children):
+    return Node(tuple(Branch(v, q, child) for (v, q), child in zip(law, children)))
+
+
+def _shared_pairs(n=40, seed=13):
+    """Depth-3 pairs whose nodes come from small per-level pools, so sibling
+    and cousin prefixes reach the same class.  The top two levels are good,
+    so a failure sits at depth 2 below classes that repeat.  The swapped
+    twin goes through JSON to share its nodes too."""
+    rng = Random(seed)
+
+    def node(laws, pool):
+        law = rng.choice(laws)
+        return _law_node(law, [rng.choice(pool) for _ in law])
+
+    product, good = GOOD_LAWS[2], _law_node(GOOD_LAWS[2], [None] * 4)
+    out = [
+        # the walk checks the last root branch's subtree, skipping a repeated
+        # leaf class in it, then skips the third root branch (same middle
+        # node as the fourth) and fails below the second, whose class the
+        # first branch repeats
+        PairProcess(FiniteProcess(2, 3, _law_node(product, [
+            _law_node(GOOD_LAWS[1], [good, _law_node(bad, [None] * 2)])] * 2
+            + [_law_node(GOOD_LAWS[0], [good, good])] * 2)), 1)
+        for bad in (BAD_LAWS[0], BAD_LAWS[3])
+    ]
+    middle = _law_node(product, [good] * 4)
+    out.append(PairProcess(FiniteProcess(2, 3, _law_node(product, [middle] * 4)), 1))
+    # (C.I.) fails only because first value 1 leads to the product classes
+    # of `good` and of `other`; `good` was met first after first value -1
+    other = _law_node(_pair_law(((1, 2), "1/4"), ((1, -2), "1/4"), ((-1, 2), "1/4"),
+                                ((-1, -2), "1/4")), [None] * 4)
+    out.append(PairProcess(FiniteProcess(2, 2, _law_node(product, [good, other, good, good])), 1))
+    for _ in range(n):
+        leaves = [node(GOOD_LAWS * 3 + BAD_LAWS, [None]) for _ in range(rng.randint(1, 4))]
+        middles = [node(GOOD_LAWS, leaves) for _ in range(rng.randint(1, 2))]
+        out.append(PairProcess(FiniteProcess(2, 3, node(GOOD_LAWS, middles)), 1))
+    return [twin for pq in out for twin in (pq, _json_twin(swap_components(pq)))]
+
+
 PROCESSES = _processes()
 PAIRS = _pairs()
+SHARED_PAIRS = _shared_pairs()
+JSON_PAIRS = [_json_twin(pq) for pq in PAIRS]
 
 
 def test_inputs_reach_both_verdicts():
@@ -326,7 +411,8 @@ def test_iter_prefix_laws_matches_reference_walk():
 
 
 def test_is_mds_matches_reference():
-    for p in PROCESSES:
+    shared = [process_from_json(process_to_json(p)) for p in PROCESSES]
+    for p in PROCESSES + shared + [pq.process for pq in SHARED_PAIRS]:
         assert repr(is_mds(p)) == repr(ref_is_mds(p))
 
 
@@ -338,12 +424,57 @@ def test_conditional_law_matches_reference():
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_pair_checks_match_reference(which):
-    for pq in PAIRS:
+    """Also on pairs that share nodes.  On a valid pair the local (C.I.)
+    test fails exactly when the fiber check does (its product and history
+    conditions follow from the fiber check's step laws), so the fallback
+    runs on every failing pair here and only there."""
+    for pq in PAIRS + JSON_PAIRS + SHARED_PAIRS:
         assert repr(are_tangent(pq)) == repr(ref_are_tangent(pq))
         assert repr(component_conditional_means(pq, which)) == repr(
             ref_component_conditional_means(pq, which)
         )
-        assert repr(satisfies_ci(pq, which)) == repr(ref_satisfies_ci(pq, which))
+        ci = ref_satisfies_ci(pq, which)
+        assert repr(satisfies_ci(pq, which)) == repr(ci)
+        assert _ci_local_test(pq, which) == ci.ok
+
+
+def _skips_before_failure(p: FiniteProcess, prefix) -> bool:
+    """The failing prefix sits at depth >= 2 below a class that another
+    prefix of that length reaches too, and the pruned walk (which skips
+    such repeats) reaches it sooner than the full walk."""
+    owners = {}
+    for q, cls in ref_walk(p):
+        owners.setdefault((len(q), tuple((id(n), w) for n, w in cls)), []).append(q)
+    repeated = {q for qs in owners.values() if len(qs) > 1 for q in qs}
+    below = any(prefix[:k] in repeated for k in range(1, len(prefix)))
+    full = [q for q, _ in iter_prefix_laws(p)]
+    pruned = [q for q, _ in iter_prefix_laws(p, len)]
+    return len(prefix) >= 2 and below and pruned.index(prefix) < full.index(prefix)
+
+
+def test_classes_with_equal_nodes_and_other_weights_stay_apart():
+    assert repr(is_mds(REWEIGHTED)) == repr(ref_is_mds(REWEIGHTED))
+    assert is_mds(REWEIGHTED).witness["prefix"] == ((F(-1),),)
+    rep = canonical_representation(REWEIGHTED)
+    assert law_of_representation(rep) == joint_law(REWEIGHTED)
+
+
+def test_ci_local_test_refuses_an_unnormalized_law():
+    # every atom present is the product of its marginals, but two of the
+    # four atoms of that product are missing (the law has mass 2)
+    pq = PairProcess(FiniteProcess(2, 1, leaf(((ONE, ONE), ONE), ((ZERO, ZERO), ONE))), 1)
+    assert not _ci_local_test(pq, 1)
+    assert repr(satisfies_ci(pq, 1)) == repr(ref_satisfies_ci(pq, 1))
+
+
+def test_shared_pairs_fail_below_repeated_classes():
+    def deep(result, pq):
+        return not result.ok and _skips_before_failure(pq.process, result.witness["prefix"])
+
+    assert any(deep(are_tangent(pq), pq) for pq in SHARED_PAIRS)
+    for which in (0, 1):
+        assert any(deep(component_conditional_means(pq, which), pq) for pq in SHARED_PAIRS)
+    assert {satisfies_ci(pq).ok for pq in SHARED_PAIRS} == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from canonrep import (
     swap_components,
     validate_process,
 )
-from conftest import leaf, step_marginal_law, v1
+from conftest import leaf, step_marginal_law, unshared, v1
 
 
 def validate_path_law(law) -> None:
@@ -78,6 +78,36 @@ def test_validate_names_offending_node(sign_flip):
     with pytest.raises(ProbSumNotOne) as err:
         validate_process(FiniteProcess(1, 2, root))
     assert "-1" in str(err.value)
+
+
+def _validation_error(p):
+    with pytest.raises(Exception) as err:
+        validate_process(p)
+    return type(err.value), str(err.value), err.value.info
+
+
+def test_validate_shared_nodes_raises_as_unshared():
+    """Shared nodes are validated once per level; what is raised, and the
+    prefix it names, is what the unshared tree gives."""
+    good = leaf((v1(1), F(1, 2)), (v1(-1), F(1, 2)))
+    bad = leaf((v1(1), F(1, 2)), (v1(-1), F(1, 3)))
+    middle = Node((Branch(v1(0), F(1, 2), good), Branch(v1(2), F(1, 2), good)))
+    cases = [
+        # one bad leaf under both root branches: named under the first
+        FiniteProcess(1, 2, Node((Branch(v1(0), F(1, 4), bad), Branch(v1(1), F(3, 4), bad)))),
+        # a good leaf shared below a bad one
+        FiniteProcess(1, 3, Node((
+            Branch(v1(0), F(1, 2), middle),
+            Branch(v1(1), F(1, 2), Node((Branch(v1(0), F(1), bad),))),
+        ))),
+        # the leaf validated at level 2 ends the tree too soon at level 1
+        FiniteProcess(1, 3, Node((Branch(v1(0), F(1, 2), middle), Branch(v1(1), F(1, 2), good)))),
+    ]
+    for p in cases:
+        got = _validation_error(p)
+        assert got[0] in (ProbSumNotOne, RaggedDepth)
+        assert got == _validation_error(FiniteProcess(1, p.depth, unshared(p.root)))
+    validate_process(FiniteProcess(1, 3, Node((Branch(v1(0), F(1), middle),))))
 
 
 # ---------------------------------------------------------------------------
