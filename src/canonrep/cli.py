@@ -165,14 +165,9 @@ def decouple(in_path: str, out_path: str, quiet: bool, format_version: int) -> N
     rep = representation_from_json(load_json(in_path))
     pq = pair_law(construct_ci_copy(rep))
     source_law = law_of_representation(rep)
-    marg_first = {}
-    marg_second = {}
     d = pq.component_dim
-    for path, prob in joint_law(pq.process).items():
-        first = tuple(v[:d] for v in path)
-        second = tuple(v[d:] for v in path)
-        marg_first[first] = marg_first.get(first, 0) + prob
-        marg_second[second] = marg_second.get(second, 0) + prob
+    marg_first = joint_law(pq.process, slice(None, d))
+    marg_second = joint_law(pq.process, slice(d, None))
     direct_ok = marg_first == source_law
     copy_ok = marg_second == source_law
     dump_json(pair_process_to_json(pq), out_path)

@@ -15,7 +15,9 @@ is computed or compared.
 All objects are immutable after construction and all operations are
 pure, so concurrent reads are safe, and trees may share nodes (``pair_law``
 and ``jsonio.process_from_json`` do).  ``is_mds``, ``are_tangent`` and
-``satisfies_ci`` visit each distinct prefix class once (``iter_prefix_laws``).
+``satisfies_ci`` visit each distinct prefix class once (``iter_prefix_laws``),
+and ``joint_law`` builds the law below each distinct node once; no check
+enumerates the paths of a pair.
 """
 
 from __future__ import annotations
@@ -171,25 +173,33 @@ def _validate_node(node: Node, prefix: ValuePath, p: FiniteProcess, seen: set) -
 # ---------------------------------------------------------------------------
 # laws
 
-def joint_law(p: FiniteProcess) -> PathLaw:
-    """Exact joint law of the whole sequence.
+def joint_law(p: FiniteProcess, part: slice = slice(None)) -> PathLaw:
+    """Exact joint law of the coordinates ``part`` of the whole sequence.
 
-    One entry per realizable value path; the probability of a path is the
-    sum over tree paths carrying it of the product of branch probs.
+    One entry per realizable value path, in the order a depth-first walk
+    of the tree first meets them; the probability of a path is the sum
+    over tree paths carrying it of the product of branch probs.  The law
+    below each distinct node is built once, so a tree that shares nodes
+    (``pair_law`` shares one child across the k copy branches of a cell)
+    costs per distinct node, not per path of the pair.
     """
-    law: PathLaw = {}
+    memo: dict[int, PathLaw] = {}
 
-    def walk(node: Node, path: ValuePath, prob: Fraction) -> None:
-        for br in node.branches:
-            q = prob * br.prob
-            full = path + (br.value,)
-            if br.child is None:
-                law[full] = law.get(full, ZERO) + q
-            else:
-                walk(br.child, full, q)
+    def law(node: Node) -> PathLaw:
+        out = memo.get(id(node))
+        if out is None:
+            out = memo[id(node)] = {}
+            for br in node.branches:
+                head = (br.value[part],)
+                if br.child is None:
+                    out[head] = out.get(head, ZERO) + br.prob
+                    continue
+                for tail, q in law(br.child).items():
+                    path = head + tail
+                    out[path] = out.get(path, ZERO) + br.prob * q
+        return out
 
-    walk(p.root, (), ONE)
-    return law
+    return law(p.root)
 
 
 def _prefix_class(p: FiniteProcess, prefix: ValuePath):
@@ -307,11 +317,10 @@ def is_mds(p: FiniteProcess) -> CheckResult:
     return _zero_mean_check(p, slice(None))
 
 
-def _component_law(law: dict[Value, Fraction], d: int, which: int) -> dict[Value, Fraction]:
+def _component_law(law: dict[Value, Fraction], part: slice) -> dict[Value, Fraction]:
     out: dict[Value, Fraction] = {}
     for v, q in law.items():
-        part = v[:d] if which == 0 else v[d:]
-        out[part] = out.get(part, ZERO) + q
+        out[v[part]] = out.get(v[part], ZERO) + q
     return out
 
 
@@ -324,8 +333,8 @@ def are_tangent(pq: PairProcess) -> CheckResult:
     """
     d = pq.component_dim
     for prefix, law in iter_prefix_laws(pq.process, len):
-        f_law = _component_law(law, d, 0)
-        g_law = _component_law(law, d, 1)
+        f_law = _component_law(law, slice(None, d))
+        g_law = _component_law(law, slice(d, None))
         if f_law != g_law:
             return CheckResult(
                 False,
@@ -338,11 +347,29 @@ def are_tangent(pq: PairProcess) -> CheckResult:
     return CheckResult(True, None)
 
 
-def _ci_local_test(pq: PairProcess, checked_component: int) -> bool:
-    """(C.I.) by local laws: each step law is the product a x b of its other-
-    and checked-component laws, with (a, b) a function of the other history
-    f alone.  Then P(f, g) = prod a_n(f_n | f_<n) b_n(g_n | f_<n), which is
-    (C.I.) with the declared b_n; on a valid pair the converse holds too."""
+def satisfies_ci(pq: PairProcess, checked_component: int = 1) -> CheckResult:
+    """Exact condition-(C.I.) check for one component of a pair process.
+
+    The conditioning sigma field is the full path f of the other component.
+    At every pair prefix the step law must be the product a x b of its
+    other- and checked-component laws, with (a, b) a function of the other
+    history f_<n alone.  Then P(f, g) = prod a_n(f_n | f_<n) b_n(g_n | f_<n):
+    given f the checked steps are independent, each with its law given the
+    pair history.  The converse needs a valid pair (``validate_process``),
+    which the check assumes.  Prefixes are visited once per (class, f_<n).
+
+    ``checked_component`` is 0 for the first half of each value, 1 for
+    the second (the decoupled copy convention).
+
+    The witness names the first failing pair ``prefix`` and its ``kind``:
+    ``"factorization-support"`` (``joint_support`` atoms where a x b has
+    ``product_support``), ``"factorization"`` (the atom ``value`` has
+    probability ``joint``, not ``product``) or ``"step-law"`` (the sorted
+    step ``law`` differs in a or b from the sorted ``first_law`` at
+    ``first_prefix``, which has the same other history).
+    """
+    if checked_component not in (0, 1):
+        raise ValueError("checked_component must be 0 or 1")
     d = pq.component_dim
     halves = (slice(None, d), slice(d, None))
     other, checked = halves[1 - checked_component], halves[checked_component]
@@ -350,159 +377,54 @@ def _ci_local_test(pq: PairProcess, checked_component: int) -> bool:
     def history(prefix: ValuePath) -> ValuePath:
         return tuple(v[other] for v in prefix)
 
-    given: dict[ValuePath, tuple] = {}
+    first: dict[ValuePath, tuple] = {}
     for prefix, law in iter_prefix_laws(pq.process, history):
-        a = _component_law(law, d, 1 - checked_component)
-        b = _component_law(law, d, checked_component)
-        if len(law) != len(a) * len(b) or any(
-            q != a[v[other]] * b[v[checked]] for v, q in law.items()
-        ) or given.setdefault(history(prefix), (a, b)) != (a, b):
-            return False
-    return True
-
-
-def satisfies_ci(pq: PairProcess, checked_component: int = 1) -> CheckResult:
-    """Exact condition-(C.I.) check for one component of a pair process.
-
-    The conditioning sigma field is fixed to the full path of the other
-    component.  The checked component must then be conditionally
-    independent across steps (the conditional joint law factors into its
-    own conditional marginals, verified by exact factorization), and each
-    step's conditional law given that full path must coincide with its
-    conditional law given the pair history.
-
-    ``checked_component`` is 0 for the first half of each value, 1 for
-    the second (the decoupled copy convention).
-
-    A local test over the distinct prefix classes runs first; the fiber
-    check on the whole ``joint_law`` is the fallback that names a failure.
-    """
-    if checked_component not in (0, 1):
-        raise ValueError("checked_component must be 0 or 1")
-    if _ci_local_test(pq, checked_component):
-        return CheckResult(True, None)
-    d = pq.component_dim
-    n_steps = pq.process.depth
-    law = joint_law(pq.process)
-
-    def split_path(path: ValuePath) -> tuple[ValuePath, ValuePath]:
-        f = tuple(v[:d] for v in path)
-        g = tuple(v[d:] for v in path)
-        return (f, g) if checked_component == 1 else (g, f)
-
-    def join_step(other_v: Value, checked_v: Value) -> Value:
-        return other_v + checked_v if checked_component == 1 else checked_v + other_v
-
-    # conditional laws of the checked component given every pair prefix
-    declared = {
-        prefix: _component_law(step_law, d, checked_component)
-        for prefix, step_law in iter_prefix_laws(pq.process)
-    }
-
-    # fibers of the conditioning path
-    fibers: dict[ValuePath, dict[ValuePath, Fraction]] = {}
-    for path, prob in law.items():
-        other, checked = split_path(path)
-        inner = fibers.setdefault(other, {})
-        inner[checked] = inner.get(checked, ZERO) + prob
-
-    for other, cond in fibers.items():
-        total = sum(cond.values(), ZERO)
-        cond = {b: q / total for b, q in cond.items()}
-        margs: list[dict[Value, Fraction]] = [dict() for _ in range(n_steps)]
-        for b, q in cond.items():
-            for n in range(n_steps):
-                margs[n][b[n]] = margs[n].get(b[n], ZERO) + q
-
-        # factorization of the conditional joint into its own marginals
-        support_product = 1
-        for m in margs:
-            support_product *= len(m)
-        if len(cond) != support_product:
-            return CheckResult(
-                False,
-                {
-                    "kind": "factorization-support",
-                    "conditioning_path": other,
-                    "joint_support": len(cond),
-                    "product_support": support_product,
-                },
-            )
-        for b, q in cond.items():
-            prod = ONE
-            for n in range(n_steps):
-                prod *= margs[n][b[n]]
-            if q != prod:
-                return CheckResult(
-                    False,
-                    {
-                        "kind": "factorization",
-                        "conditioning_path": other,
-                        "checked_path": b,
-                        "joint": q,
-                        "product": prod,
-                    },
-                )
-
-        # step laws given the full conditioning path must match the laws
-        # declared by the tree at the corresponding pair prefix
-        seen: set[tuple[int, ValuePath]] = set()
-        for b in cond:
-            for n in range(n_steps):
-                pair_prefix = tuple(
-                    join_step(other[k], b[k]) for k in range(n)
-                )
-                key = (n, pair_prefix)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if margs[n] != declared[pair_prefix]:
-                    return CheckResult(
-                        False,
-                        {
-                            "kind": "step-law",
-                            "conditioning_path": other,
-                            "step": n + 1,
-                            "pair_prefix": pair_prefix,
-                            "given_path": sorted(margs[n].items()),
-                            "given_history": sorted(declared[pair_prefix].items()),
-                        },
-                    )
+        a, b = _component_law(law, other), _component_law(law, checked)
+        if len(law) != len(a) * len(b):
+            return CheckResult(False, {"kind": "factorization-support", "prefix": prefix,
+                                       "joint_support": len(law),
+                                       "product_support": len(a) * len(b)})
+        for v, q in law.items():
+            product = a[v[other]] * b[v[checked]]
+            if q != product:
+                return CheckResult(False, {"kind": "factorization", "prefix": prefix,
+                                           "value": v, "joint": q, "product": product})
+        first_prefix, first_law, laws = first.setdefault(
+            history(prefix), (prefix, law, (a, b)))
+        if laws != (a, b):
+            return CheckResult(False, {"kind": "step-law", "prefix": prefix,
+                                       "first_prefix": first_prefix,
+                                       "law": sorted(law.items()),
+                                       "first_law": sorted(first_law.items())})
     return CheckResult(True, None)
+
+
+def _map_values(root: Node, fn) -> Node:
+    """The tree with every value v replaced by fn(v), shared nodes kept shared."""
+    memo: dict[int, Node] = {}
+
+    def rebuild(node: Node) -> Node:
+        out = memo.get(id(node))
+        if out is None:
+            out = memo[id(node)] = Node(tuple(
+                Branch(fn(br.value), br.prob, rebuild(br.child) if br.child else None)
+                for br in node.branches
+            ))
+        return out
+
+    return rebuild(root)
 
 
 def pair_from_identical(p: FiniteProcess) -> PairProcess:
     """Pair a process with itself pathwise (both components move together)."""
-
-    def dup(node: Node) -> Node:
-        return Node(
-            tuple(
-                Branch(br.value + br.value, br.prob, dup(br.child) if br.child else None)
-                for br in node.branches
-            )
-        )
-
     return PairProcess(
-        FiniteProcess(2 * p.dimension, p.depth, dup(p.root)), p.dimension
+        FiniteProcess(2 * p.dimension, p.depth, _map_values(p.root, lambda v: v + v)),
+        p.dimension,
     )
 
 
 def swap_components(pq: PairProcess) -> PairProcess:
     """Exchange the two components of a pair process."""
     d = pq.component_dim
-
-    def swap(node: Node) -> Node:
-        return Node(
-            tuple(
-                Branch(
-                    br.value[d:] + br.value[:d],
-                    br.prob,
-                    swap(br.child) if br.child else None,
-                )
-                for br in node.branches
-            )
-        )
-
-    return PairProcess(
-        FiniteProcess(pq.process.dimension, pq.process.depth, swap(pq.process.root)), d
-    )
+    root = _map_values(pq.process.root, lambda v: v[d:] + v[:d])
+    return PairProcess(FiniteProcess(pq.process.dimension, pq.process.depth, root), d)

@@ -96,12 +96,6 @@ class TransportMap:
     step: int
     sections: tuple[SectionTransport, ...]
 
-    def section(self, history: ValuePath) -> SectionTransport:
-        for s in self.sections:
-            if s.history == history:
-                return s
-        raise KeyError(f"no section with history {fmt_prefix(history)}")
-
 
 def build_transport(
     pq: PairProcess, base: Optional[CellRepresentation] = None

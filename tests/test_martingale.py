@@ -9,16 +9,20 @@ from canonrep import (
     are_tangent,
     canonical_representation,
     construct_ci_copy,
+    independent_coupling,
     joint_law,
     law_of_representation,
+    pair_from_identical,
     pair_law,
     random_independent_process,
     random_process,
+    random_tangent_pair,
     represent_mds,
     satisfies_ci,
     verify_zero_sections,
 )
 from canonrep.martingale import component_conditional_means
+from canonrep.process import _map_values
 from canonrep.representation import Cell, CellRepresentation, Interval, _make_rep_node
 
 from conftest import leaf, v1
@@ -176,3 +180,51 @@ def test_copy_is_mds_under_pair_filtration():
         pq = pair_law(construct_ci_copy(represent_mds(p)))
         assert component_conditional_means(pq, 0).ok
         assert component_conditional_means(pq, 1).ok
+
+
+# ---------------------------------------------------------------------------
+# a tangent pair satisfying (C.I.) has the law of the decoupled copy
+
+def _first_component(pq):
+    """The first component alone, as a process on its own history."""
+    d = pq.component_dim
+    return FiniteProcess(d, pq.process.depth, _map_values(pq.process.root, lambda v: v[:d]))
+
+
+def _decoupled_law_of_first(pq):
+    rep = canonical_representation(_first_component(pq))
+    return joint_law(pair_law(construct_ci_copy(rep)).process)
+
+
+def test_tangent_ci_pairs_have_the_decoupled_copy_law():
+    rng = Random(41)
+    checked_tangent = 0
+    for _ in range(12):
+        depth, k, s = rng.randint(1, 3), rng.randint(1, 3), rng.randrange(10**9)
+        p = random_independent_process(depth, k, 1, s)
+        rep = canonical_representation(p)
+        coupled = independent_coupling(rep, rep)
+        decoupled = pair_law(construct_ci_copy(canonical_representation(
+            random_process(depth, k, 1, s))))
+        for pq in (coupled, decoupled):
+            assert are_tangent(pq).ok and satisfies_ci(pq, 1).ok
+            assert joint_law(pq.process) == _decoupled_law_of_first(pq)
+        tangent = random_tangent_pair(depth, rng.randint(1, 2), 1, s)
+        if are_tangent(tangent).ok and satisfies_ci(tangent, 1).ok:
+            assert joint_law(tangent.process) == _decoupled_law_of_first(tangent)
+            checked_tangent += 1
+    assert checked_tangent > 0
+
+
+def test_pathwise_copy_is_tangent_without_ci_and_not_decoupled():
+    rng = Random(43)
+    checked = 0
+    for _ in range(20):
+        p = random_process(rng.randint(1, 3), rng.randint(2, 3), 1, seed=rng.randrange(10**9))
+        pq = pair_from_identical(p)
+        assert are_tangent(pq).ok
+        if len(joint_law(p)) > 1:  # a constant process is its own decoupled copy
+            assert not satisfies_ci(pq, 1).ok
+            assert joint_law(pq.process) != _decoupled_law_of_first(pq)
+            checked += 1
+    assert checked >= 5

@@ -1,7 +1,9 @@
 """The shared prefix-law traversal and find-cell-by-value walk, checked
 against the earlier one-walk-per-check implementations kept below as
 references: same verdicts and same witnesses, compared by repr so the
-witness types must match too."""
+witness types must match too.  Condition (C.I.) is compared by verdict
+with the fiber check on the whole joint law, and its witness is checked
+as a counterexample on its own."""
 
 import hashlib
 import json
@@ -53,7 +55,6 @@ from canonrep.jsonio import (
     process_to_json,
 )
 from canonrep.martingale import component_conditional_means
-from canonrep.process import _ci_local_test
 from canonrep.representation import locate_aug_node, locate_node
 from canonrep.transport import SectionTransport, TransportMap
 
@@ -322,7 +323,16 @@ def _pairs(n=25, seed=7):
         Branch((F(1),), F(1, 2), leaf(((F(0),), F(2, 3)), ((F(1),), F(1, 3)))),
     )))
     out.append(_behind_zero(skewed))
+    out.append(WRONG_WEIGHTS)
     return out
+
+
+# full product support, but the atoms are not the products of the marginals:
+# the one input that fails (C.I.) with kind "factorization"
+WRONG_WEIGHTS = PairProcess(FiniteProcess(2, 1, leaf(
+    ((ZERO, ZERO), F(2, 5)), ((ZERO, ONE), F(1, 10)),
+    ((ONE, ZERO), F(1, 10)), ((ONE, ONE), F(2, 5)),
+)), 1)
 
 
 def _json_twin(pq: PairProcess) -> PairProcess:
@@ -422,20 +432,51 @@ def test_conditional_law_matches_reference():
             assert conditional_law(p, prefix) == sorted(ref_class_law(cls).items())
 
 
+def assert_ci_counterexample(pq: PairProcess, which: int, witness: dict) -> None:
+    """Recompute the step laws the (C.I.) witness names and confirm that
+    they break the local condition in the stated way."""
+    d = pq.component_dim
+    other, checked = (slice(d, None), slice(None, d)) if which == 0 else (
+        slice(None, d), slice(d, None))
+
+    def parts(prefix):
+        law = dict(conditional_law(pq.process, prefix))
+        a, b = ref_component_law(law, d, 1 - which), ref_component_law(law, d, which)
+        return law, a, b
+
+    law, a, b = parts(witness["prefix"])
+    kind = witness["kind"]
+    if kind == "factorization-support":
+        assert witness["joint_support"] == len(law)
+        assert witness["product_support"] == len(a) * len(b) != len(law)
+    elif kind == "factorization":
+        v = witness["value"]
+        assert witness["joint"] == law[v]
+        assert witness["product"] == a[v[other]] * b[v[checked]] != law[v]
+    else:
+        assert kind == "step-law"
+        first_law, first_a, first_b = parts(witness["first_prefix"])
+        assert [v[other] for v in witness["first_prefix"]] == [
+            v[other] for v in witness["prefix"]]
+        assert witness["law"] == sorted(law.items())
+        assert witness["first_law"] == sorted(first_law.items())
+        assert (a, b) != (first_a, first_b)
+
+
 @pytest.mark.parametrize("which", [0, 1])
 def test_pair_checks_match_reference(which):
     """Also on pairs that share nodes.  On a valid pair the local (C.I.)
-    test fails exactly when the fiber check does (its product and history
-    conditions follow from the fiber check's step laws), so the fallback
-    runs on every failing pair here and only there."""
+    condition fails exactly when the fiber check does (its product and
+    history conditions follow from the fiber check's step laws)."""
     for pq in PAIRS + JSON_PAIRS + SHARED_PAIRS:
         assert repr(are_tangent(pq)) == repr(ref_are_tangent(pq))
         assert repr(component_conditional_means(pq, which)) == repr(
             ref_component_conditional_means(pq, which)
         )
-        ci = ref_satisfies_ci(pq, which)
-        assert repr(satisfies_ci(pq, which)) == repr(ci)
-        assert _ci_local_test(pq, which) == ci.ok
+        ci = satisfies_ci(pq, which)
+        assert ci.ok == ref_satisfies_ci(pq, which).ok
+        if not ci.ok:
+            assert_ci_counterexample(pq, which, ci.witness)
 
 
 def _skips_before_failure(p: FiniteProcess, prefix) -> bool:
@@ -459,12 +500,14 @@ def test_classes_with_equal_nodes_and_other_weights_stay_apart():
     assert law_of_representation(rep) == joint_law(REWEIGHTED)
 
 
-def test_ci_local_test_refuses_an_unnormalized_law():
+def test_satisfies_ci_refuses_an_unnormalized_law():
     # every atom present is the product of its marginals, but two of the
     # four atoms of that product are missing (the law has mass 2)
     pq = PairProcess(FiniteProcess(2, 1, leaf(((ONE, ONE), ONE), ((ZERO, ZERO), ONE))), 1)
-    assert not _ci_local_test(pq, 1)
-    assert repr(satisfies_ci(pq, 1)) == repr(ref_satisfies_ci(pq, 1))
+    result = satisfies_ci(pq, 1)
+    assert not result.ok and not ref_satisfies_ci(pq, 1).ok
+    assert result.witness["kind"] == "factorization-support"
+    assert_ci_counterexample(pq, 1, result.witness)
 
 
 def test_shared_pairs_fail_below_repeated_classes():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -20,11 +21,14 @@ from canonrep import (
     joint_law,
     pair_from_identical,
     pair_law,
+    random_independent_process,
     random_process,
     satisfies_ci,
     swap_components,
     validate_process,
 )
+from canonrep.jsonio import process_from_json, process_to_json
+
 from conftest import leaf, step_marginal_law, unshared, v1
 
 
@@ -144,6 +148,48 @@ def test_joint_law_aggregates_duplicate_values():
     assert law == {((F(1),),): F(2, 3), ((F(2),),): F(1, 3)}
 
 
+def ref_joint_law(p):
+    """One entry per tree path, walked depth first: the reference order."""
+    law = {}
+
+    def walk(node, path, prob):
+        for br in node.branches:
+            q = prob * br.prob
+            full = path + (br.value,)
+            if br.child is None:
+                law[full] = law.get(full, F(0)) + q
+            else:
+                walk(br.child, full, q)
+
+    walk(p.root, (), F(1))
+    return law
+
+
+def _joint_law_inputs():
+    rng = Random(17)
+    out = []
+    for _ in range(12):
+        depth, k, dim = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+        p = random_process(depth, k, dim, rng.randrange(10**9))
+        shared = process_from_json(process_to_json(p))
+        pair = pair_law(construct_ci_copy(canonical_representation(p))).process
+        out += [p, shared, pair, process_from_json(process_to_json(pair))]
+    out.append(random_independent_process(3, 3, 2, 5))
+    return out
+
+
+def test_joint_law_of_parts_matches_projected_walk():
+    for p in _joint_law_inputs():
+        full = ref_joint_law(p)
+        assert list(joint_law(p).items()) == list(full.items())
+        for part in (slice(None, 1), slice(1, None), slice(None), slice(1, 2)):
+            projected = {}
+            for path, prob in full.items():
+                key = tuple(v[part] for v in path)
+                projected[key] = projected.get(key, F(0)) + prob
+            assert list(joint_law(p, part).items()) == list(projected.items())
+
+
 # ---------------------------------------------------------------------------
 # conditional law
 
@@ -228,6 +274,29 @@ def test_tangent_symmetric(sign_flip):
 def test_tangent_decoupled_copy(sign_flip):
     pq = pair_law(construct_ci_copy(canonical_representation(sign_flip)))
     assert are_tangent(pq).ok
+
+
+def _distinct_nodes(node, seen=None):
+    seen = set() if seen is None else seen
+    if node is not None and id(node) not in seen:
+        seen.add(id(node))
+        for br in node.branches:
+            _distinct_nodes(br.child, seen)
+    return len(seen)
+
+
+def test_swap_and_identical_keep_shared_nodes():
+    rep = canonical_representation(random_process(4, 4, 1, seed=3, mds=True))
+    pq = pair_law(construct_ci_copy(rep))
+    swapped = swap_components(pq)
+    assert _distinct_nodes(swapped.process.root) == _distinct_nodes(pq.process.root) == 12
+    assert joint_law(swap_components(swapped).process) == joint_law(pq.process)
+    assert satisfies_ci(swapped, 0) == satisfies_ci(pq, 1)
+    source = process_from_json(process_to_json(random_independent_process(3, 3, 1, 9)))
+    twin = pair_from_identical(source)
+    assert _distinct_nodes(twin.process.root) == _distinct_nodes(source.root)
+    assert joint_law(twin.process) == {
+        tuple(v + v for v in path): q for path, q in joint_law(source).items()}
 
 
 def test_not_tangent_with_witness(fair_coin):
