@@ -70,21 +70,7 @@ def _guarded(fn):
     return wrapper
 
 
-def _common(fn):
-    fn = click.option("--quiet", is_flag=True, help="Suppress the summary line.")(fn)
-    fn = click.option(
-        "--format-version",
-        type=int,
-        default=FORMAT_VERSION,
-        show_default=True,
-        help="Expected schema version of the input files.",
-    )(fn)
-    return fn
-
-
-def _check_format_version(version: int) -> None:
-    if version != FORMAT_VERSION:
-        raise FormatError(f"only format_version {FORMAT_VERSION} is supported")
+_quiet = click.option("--quiet", is_flag=True, help="Suppress the summary line.")
 
 
 def _finite_above(bound: float):
@@ -113,11 +99,10 @@ def main() -> None:
 
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path())
-@_common
+@_quiet
 @_guarded
-def validate(in_path: str, quiet: bool, format_version: int) -> None:
+def validate(in_path: str, quiet: bool) -> None:
     """Check a process file against all structural invariants."""
-    _check_format_version(format_version)
     process = process_from_json(load_json(in_path))
     validate_process(process)
     _say(quiet, f"valid: dimension {process.dimension}, depth {process.depth}")
@@ -129,11 +114,10 @@ def validate(in_path: str, quiet: bool, format_version: int) -> None:
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common
+@_quiet
 @_guarded
-def represent(in_path: str, out_path: str, quiet: bool, format_version: int) -> None:
+def represent(in_path: str, out_path: str, quiet: bool) -> None:
     """Build the canonical representation and verify law preservation."""
-    _check_format_version(format_version)
     process = process_from_json(load_json(in_path))
     rep = canonical_representation(process)
     source_law = joint_law(process)
@@ -151,9 +135,9 @@ def represent(in_path: str, out_path: str, quiet: bool, format_version: int) -> 
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common
+@_quiet
 @_guarded
-def decouple(in_path: str, out_path: str, quiet: bool, format_version: int) -> None:
+def decouple(in_path: str, out_path: str, quiet: bool) -> None:
     """Emit the exact pair law of the decoupled copy of a representation.
 
     The direct component's marginal always reproduces the source law; the
@@ -161,7 +145,6 @@ def decouple(in_path: str, out_path: str, quiet: bool, format_version: int) -> N
     step laws (the hypothesis under which the full law-equality statement
     holds), so it is reported informationally.
     """
-    _check_format_version(format_version)
     rep = representation_from_json(load_json(in_path))
     pq = pair_law(construct_ci_copy(rep))
     source_law = law_of_representation(rep)
@@ -187,13 +170,10 @@ def decouple(in_path: str, out_path: str, quiet: bool, format_version: int) -> N
 @click.option("--in2", "in2_path", type=click.Path(), default=None,
               help="Second representation JSON (independent coupling mode).")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common
+@_quiet
 @_guarded
-def transport(
-    in_path: str, in2_path: str, out_path: str, quiet: bool, format_version: int
-) -> None:
+def transport(in_path: str, in2_path: str, out_path: str, quiet: bool) -> None:
     """Build per-step measure-preserving transports for a tangent pair."""
-    _check_format_version(format_version)
     if in2_path is None:
         pq = pair_process_from_json(load_json(in_path))
         validate_process(pq.process)
@@ -223,7 +203,7 @@ def transport(
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Also write per-path sums of both sides.")
-@_common
+@_quiet
 @_guarded
 def bench(
     in_path: str,
@@ -233,10 +213,8 @@ def bench(
     out_path: str,
     csv_path: str,
     quiet: bool,
-    format_version: int,
 ) -> None:
     """Estimate the decoupling norm ratio, backed by the exact oracle."""
-    _check_format_version(format_version)
     rep = representation_from_json(load_json(in_path))
     report = bench_mod.decoupling_ratio(rep, p_norm, samples, seed)
     doc = {
@@ -316,7 +294,7 @@ def _parse_grid(grid_arg: str, depth: int) -> np.ndarray:
               help="Write (t, F_t) rows for up to 100 paths.")
 @click.option("--svg", "svg_path", type=click.Path(), default=None,
               help="Static figure of up to 20 overlaid trajectories.")
-@_common
+@_quiet
 @_guarded
 def skorohod(
     in_path: str,
@@ -330,10 +308,8 @@ def skorohod(
     csv_path: str,
     svg_path: str,
     quiet: bool,
-    format_version: int,
 ) -> None:
     """Embed a zero-mean process in planar Brownian motion and verify it."""
-    _check_format_version(format_version)
     process = process_from_json(load_json(in_path))
     rep = represent_mds(process)
     cfg = emb.BrownianConfig(
@@ -479,7 +455,7 @@ def trajectories_svg(times: np.ndarray, series: np.ndarray,
 @click.option("--mds", is_flag=True, help="Force zero conditional means.")
 @click.option("--seed", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common
+@_quiet
 @_guarded
 def gen(
     depth: int,
@@ -489,10 +465,8 @@ def gen(
     seed: int,
     out_path: str,
     quiet: bool,
-    format_version: int,
 ) -> None:
     """Write a deterministic random process fixture."""
-    _check_format_version(format_version)
     process = random_process(depth, branching, dimension, seed, mds=mds)
     dump_json(process_to_json(process), out_path)
     _say(quiet, f"wrote fixture: depth {depth}, branching <= {branching}, "

@@ -28,7 +28,6 @@ from .process import (
     FiniteProcess,
     Node,
     PairProcess,
-    Value,
     ValuePath,
     _zero_mean_check,
     fmt_prefix,
@@ -43,7 +42,7 @@ from .representation import (
 
 @dataclass(frozen=True)
 class ZeroSectionReport:
-    """Per-node section integrals of a representation.
+    """Section integrals of a representation, summarized.
 
     ``max_abs`` is the largest coordinate-wise absolute deviation from
     zero across all nodes (an exact rational); it is zero exactly when
@@ -51,7 +50,6 @@ class ZeroSectionReport:
     """
 
     max_abs: Fraction
-    sections: tuple[tuple[ValuePath, Value], ...]  # (prefix, section integral)
 
     def require_zero(self) -> None:
         """Raise NotMartingaleDifference unless every section integral is zero."""
@@ -62,25 +60,28 @@ class ZeroSectionReport:
 
 
 def verify_zero_sections(r: CellRepresentation) -> ZeroSectionReport:
-    """Integrate every node partition exactly and report the deviations."""
-    sections: list[tuple[ValuePath, Value]] = []
-    worst = ZERO
+    """Integrate every node partition exactly and report the largest deviation.
 
-    def walk(node: RepNode, prefix: ValuePath) -> None:
-        nonlocal worst
+    Each distinct node is integrated once, however many prefixes reach it
+    (``canonical_representation`` shares equal subtrees).
+    """
+    worst = ZERO
+    seen: set[int] = set()
+    stack = [r.root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         mean = [ZERO] * r.dimension
         for cell in node.cells:
             ln = cell.interval.length
             for i, c in enumerate(cell.value):
                 mean[i] += ln * c
-        sections.append((prefix, tuple(mean)))
-        worst = max(worst, max((abs(c) for c in mean), default=ZERO))
-        for cell in node.cells:
             if cell.child is not None:
-                walk(cell.child, prefix + (cell.value,))
-
-    walk(r.root, ())
-    return ZeroSectionReport(worst, tuple(sections))
+                stack.append(cell.child)
+        worst = max(worst, max((abs(c) for c in mean), default=ZERO))
+    return ZeroSectionReport(worst)
 
 
 def represent_mds(p: FiniteProcess) -> CellRepresentation:

@@ -31,6 +31,7 @@ from .process import (
     PathLaw,
     Value,
     ValuePath,
+    _split_class,
     conditional_law,
     fmt_prefix,
     fmt_value,
@@ -140,22 +141,12 @@ def _build_node(mixture: list[tuple[Node, Fraction]], steps_left: int, memo: dic
     key = (steps_left, tuple((id(node), w) for node, w in mixture))
     if key in memo:
         return memo[key]
-    groups: dict[Value, Fraction] = {}
-    children: dict[Value, list[tuple[Node, Fraction]]] = {}
-    for node, w in mixture:
-        for br in node.branches:
-            groups[br.value] = groups.get(br.value, ZERO) + w * br.prob
-            if br.child is not None:
-                children.setdefault(br.value, []).append((br.child, w * br.prob))
+    law, children = _split_class(mixture, steps_left > 1)
     cells: list[Cell] = []
     lo = ZERO
-    for v in sorted(groups):
-        total = groups[v]
-        hi = lo + total
-        child = None
-        if steps_left > 1:
-            sub = [(n, sw / total) for n, sw in children[v]]
-            child = _build_node(sub, steps_left - 1, memo)
+    for v in sorted(law):
+        hi = lo + law[v]
+        child = _build_node(children[v], steps_left - 1, memo) if steps_left > 1 else None
         cells.append(Cell(Interval(lo, hi), v, child))
         lo = hi
     assert lo == ONE

@@ -4,14 +4,16 @@ tangent pair, plus bit-interleaving of the unit interval.
 A tangent pair (equal component step laws at every prefix) is first
 represented canonically as one 2d-valued process.  Within each history
 section, cells are sorted by the pair value, so cells sharing a first
-component are contiguous.  The transport for the section sends each cell
-to a sub-interval of the first-component group matching that cell's
-SECOND component; tangency guarantees that per value the source mass and
-the target group length agree, so the pieces fit exactly and every piece
-maps by a translation.  Composing the first component's step function
-with the transport then reproduces the second component's step function
-at every point of the section, and the map is measure preserving because
-paired pieces have equal length.
+component are contiguous.  The transport for the section lays the cells
+end to end from 0, stably ordered by their SECOND component, and maps
+each cell onto its slot by a translation.  Tangency makes the first and
+second component laws of the section equal, so the cells whose second
+component is v fill exactly the block of cells whose first component is
+v.  Composing the first component's step function with the transport then
+reproduces the second component's step function at every point of the
+section, and the map is measure preserving because paired pieces have
+equal length.  The layout depends on the node alone, so it is built once
+per distinct node and shared by every section that reaches it.
 
 Both verifiers are proofs, not samples, and run exactly in integers on the
 section's lcm grid: every endpoint is scaled once by the lcm of its
@@ -103,7 +105,14 @@ def build_transport(
     """Per-step transports realizing the second component from the first.
 
     ``base`` defaults to the canonical representation of the pair
-    process; pass it in when already computed.
+    process; pass it in when already computed.  It must then be
+    ``canonical_representation(pq.process)``: the layout relies on its
+    cells ascending by pair value at every node, where tangency (checked
+    first) makes the two component laws equal.
+
+    One preorder walk of ``base`` puts each section into the map of its
+    step, in left-to-right order, and lays out each distinct node once;
+    sections reaching one node share its ``pairs``.
     """
     tan = are_tangent(pq)
     if not tan.ok:
@@ -114,69 +123,38 @@ def build_transport(
     if base is None:
         base = canonical_representation(pq.process)
     d = pq.component_dim
-
-    maps: list[TransportMap] = []
-    for step in range(1, base.depth + 1):
-        sections = [
-            SectionTransport(prefix, _section_pairs(node, d))
-            for prefix, node in _chains(base, step - 1)
-        ]
-        maps.append(TransportMap(step, tuple(sections)))
-    return maps
-
-
-def _chains(r: CellRepresentation, length: int):
-    """All (value prefix, node) pairs at a given depth, left to right."""
-    out: list[tuple[ValuePath, RepNode]] = []
+    steps: list[list[SectionTransport]] = [[] for _ in range(base.depth)]
+    laid_out: dict[int, tuple[IntervalPair, ...]] = {}
 
     def walk(node: RepNode, prefix: ValuePath) -> None:
-        if len(prefix) == length:
-            out.append((prefix, node))
-            return
+        pairs = laid_out.get(id(node))
+        if pairs is None:
+            pairs = laid_out[id(node)] = _section_pairs(node, d)
+        steps[len(prefix)].append(SectionTransport(prefix, pairs))
         for cell in node.cells:
             if cell.child is not None:
                 walk(cell.child, prefix + (cell.value,))
 
-    walk(r.root, ())
-    return out
+    walk(base.root, ())
+    return [TransportMap(step, tuple(s)) for step, s in enumerate(steps, 1)]
 
 
 def _section_pairs(node: RepNode, d: int) -> tuple[IntervalPair, ...]:
-    # contiguous groups of cells sharing the first component
-    group_range: dict[Value, list[Fraction]] = {}
-    last_first: Optional[Value] = None
-    for cell in node.cells:
-        first = cell.value[:d]
-        if first in group_range:
-            if last_first != first:
-                raise NotTangent(
-                    f"first-component group {fmt_value(first)} is not contiguous"
-                )
-            group_range[first][1] = cell.interval.hi
-        else:
-            group_range[first] = [cell.interval.lo, cell.interval.hi]
-        last_first = first
+    """Each cell's interval with its target: the cells laid end to end from
+    0, stably ordered by their second component.
 
-    cursor = {v: rng[0] for v, rng in group_range.items()}
-    pairs: list[IntervalPair] = []
-    for cell in node.cells:
-        second = cell.value[d:]
-        if second not in group_range:
-            raise NotTangent(
-                f"second-component value {fmt_value(second)} has no matching "
-                f"first-component group"
-            )
-        length = cell.interval.length
-        start = cursor[second]
-        cursor[second] = start + length
-        pairs.append(IntervalPair(cell.interval, Interval(start, start + length)))
-    for v, rng in group_range.items():
-        if cursor[v] != rng[1]:
-            raise NotTangent(
-                f"group {fmt_value(v)} received mass {cursor[v] - rng[0]}, "
-                f"expected {rng[1] - rng[0]}"
-            )
-    return tuple(pairs)
+    The cells are ascending by value, so those with first component v form
+    one block; with equal component laws, the cells with second component v
+    land on exactly that block, in left-to-right order.
+    """
+    cells = node.cells
+    targets: list[Optional[Interval]] = [None] * len(cells)
+    lo = Fraction(0)
+    for i in sorted(range(len(cells)), key=lambda i: cells[i].value[d:]):
+        hi = lo + cells[i].interval.length
+        targets[i] = Interval(lo, hi)
+        lo = hi
+    return tuple(IntervalPair(c.interval, t) for c, t in zip(cells, targets))
 
 
 def independent_coupling(
@@ -187,7 +165,9 @@ def independent_coupling(
     At every reachable pair of nodes, each branch pairs one cell of the
     first partition with one of the second, with the product probability.
     The result is tangent exactly when the two partitions agree in law at
-    every reachable node pair (e.g. two representations of one process).
+    every reachable node pair, e.g. two representations of one process
+    whose step laws do not depend on the history (with history-dependent
+    laws the two components move on to different nodes).
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch(

@@ -86,11 +86,29 @@ def test_validate_truncated_file(runner, tmp_path):
 
 
 def test_unsupported_format_version(runner, tmp_path):
-    path = _gen(runner, tmp_path)
-    res = runner.invoke(
-        main, ["validate", "--in", str(path), "--format-version", "2"]
-    )
-    assert res.exit_code == 2
+    # every command that reads a file refuses a document of another version
+    p_path = _gen(runner, tmp_path)
+    r_path = tmp_path / "r.json"
+    runner.invoke(main, ["represent", "--in", str(p_path), "--out", str(r_path)])
+    future = {}
+    for name, path in (("p2.json", p_path), ("r2.json", r_path)):
+        doc = load_json(path)
+        doc["format_version"] = 2
+        future[name] = tmp_path / name
+        future[name].write_text(json.dumps(doc))
+    p2, r2, out = str(future["p2.json"]), str(future["r2.json"]), str(tmp_path / "o.json")
+    for args in (
+        ["validate", "--in", p2],
+        ["represent", "--in", p2, "--out", out],
+        ["decouple", "--in", r2, "--out", out],
+        ["transport", "--in", p2, "--out", out],
+        ["transport", "--in", str(r_path), "--in2", r2, "--out", out],
+        ["bench", "--in", r2, "--seed", "1", "--out", out],
+        ["skorohod", "--in", p2, "--seed", "1", "--out", out],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        assert "unsupported format_version 2" in res.output, args
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +246,6 @@ def test_bench_oracle_has_no_options(runner, tmp_path):
     # the oracle runs whenever p is even; no option limits or forces it
     assert {opt for param in main.commands["bench"].params for opt in param.opts} == {
         "--in", "--p", "--samples", "--seed", "--out", "--csv", "--quiet",
-        "--format-version",
     }
     p_path = _gen(runner, tmp_path)
     r_path = tmp_path / "r.json"

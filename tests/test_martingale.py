@@ -4,7 +4,9 @@ from random import Random
 import pytest
 
 from canonrep import (
+    Branch,
     FiniteProcess,
+    Node,
     NotMartingaleDifference,
     are_tangent,
     canonical_representation,
@@ -65,6 +67,20 @@ def test_zero_sections_perturbed_lengths():
     ]
     r = CellRepresentation(1, 1, _make_rep_node(cells))
     assert verify_zero_sections(r).max_abs == F(1, 3)
+
+
+def test_zero_sections_nonzero_section_in_a_shared_node():
+    # both root branches lead to one node whose section integrates to
+    # (1/4)(-1) + (3/4)(3) = 2; the root section integrates to zero
+    shared = leaf((v1(-1), F(1, 4)), (v1(3), F(3, 4)))
+    root = Node((Branch(v1(-1), F(1, 2), shared), Branch(v1(1), F(1, 2), shared)))
+    r = canonical_representation(FiniteProcess(1, 2, root))
+    assert r.root.cells[0].child is r.root.cells[1].child
+    report = verify_zero_sections(r)
+    assert report.max_abs == 2
+    with pytest.raises(NotMartingaleDifference) as exc:
+        report.require_zero()
+    assert exc.value.info == {"max_abs": F(2)}
 
 
 def test_zero_sections_random_mds():

@@ -29,8 +29,8 @@ from canonrep import (
     verify_measure_preserving,
     verify_transport_consistency,
 )
-from canonrep import random_tangent_pair
-from canonrep.process import ONE, ZERO, CheckResult
+from canonrep import are_tangent, random_independent_process, random_tangent_pair, swap_components
+from canonrep.process import ONE, ZERO, CheckResult, fmt_prefix, fmt_value
 from canonrep.representation import Interval, locate_node
 from canonrep.transport import (
     IntervalPair,
@@ -216,6 +216,135 @@ def test_transport_agrees_with_generalized_inverse_route():
                     )
                     x = generalized_inverse(f_aug, (), second, before / total)
                     assert section.apply(u) == x
+
+
+# ---------------------------------------------------------------------------
+# stable-order layout against the group/cursor reference
+
+def _ref_section_pairs(node, d):
+    """The group/cursor layout: each cell's target is the next free stretch
+    of the contiguous group of cells whose first component is the cell's
+    second component."""
+    group_range = {}
+    last_first = None
+    for cell in node.cells:
+        first = cell.value[:d]
+        if first in group_range:
+            if last_first != first:
+                raise NotTangent(f"first-component group {fmt_value(first)} is not contiguous")
+            group_range[first][1] = cell.interval.hi
+        else:
+            group_range[first] = [cell.interval.lo, cell.interval.hi]
+        last_first = first
+    cursor = {v: rng[0] for v, rng in group_range.items()}
+    pairs = []
+    for cell in node.cells:
+        second = cell.value[d:]
+        if second not in group_range:
+            raise NotTangent(f"second-component value {fmt_value(second)} has no matching "
+                             f"first-component group")
+        start = cursor[second]
+        cursor[second] = start + cell.interval.length
+        pairs.append(IntervalPair(cell.interval, Interval(start, cursor[second])))
+    for v, rng in group_range.items():
+        if cursor[v] != rng[1]:
+            raise NotTangent(f"group {fmt_value(v)} received mass {cursor[v] - rng[0]}, "
+                             f"expected {rng[1] - rng[0]}")
+    return tuple(pairs)
+
+
+def _ref_build_transport(pq, base):
+    """Tangency first, then one reference layout per section, sections
+    collected step by step from a left-to-right walk at each depth."""
+    tan = are_tangent(pq)
+    if not tan.ok:
+        raise NotTangent(f"components differ at {fmt_prefix(tan.witness['prefix'])}",
+                         **tan.witness)
+
+    def chains(node, prefix, length):
+        if len(prefix) == length:
+            yield prefix, node
+            return
+        for cell in node.cells:
+            if cell.child is not None:
+                yield from chains(cell.child, prefix + (cell.value,), length)
+
+    return [
+        TransportMap(step, tuple(SectionTransport(prefix, _ref_section_pairs(node, pq.component_dim))
+                                 for prefix, node in chains(base.root, (), step - 1)))
+        for step in range(1, base.depth + 1)
+    ]
+
+
+def _layout_pairs(rng, trials):
+    """Tangent pairs of every kind the library builds, in dimensions 1 and 2."""
+    for trial in range(trials):
+        depth, branching, dim = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 2)
+        seed = rng.randrange(10**9)
+        p = random_process(depth, branching, dim, seed=seed)
+        rep = canonical_representation(p)
+        kind = trial % 5
+        if kind == 0:
+            yield pair_law(construct_ci_copy(rep))
+        elif kind == 1:
+            yield random_tangent_pair(depth, branching, dim, seed=seed)
+        elif kind == 2:
+            yield pair_from_identical(p)
+        elif kind == 3:
+            yield swap_components(pair_law(construct_ci_copy(rep)))
+        else:  # tangent when every history has the same step law
+            rep = canonical_representation(random_independent_process(depth, branching, dim, seed))
+            yield independent_coupling(rep, rep)
+
+
+def test_layout_matches_group_cursor_reference():
+    for pq in _layout_pairs(Random(37), 100):
+        base = canonical_representation(pq.process)
+        maps, ref = build_transport(pq, base), _ref_build_transport(pq, base)
+        assert [tm.step for tm in maps] == [tm.step for tm in ref]
+        for tm, rtm in zip(maps, ref):
+            assert len(tm.sections) == len(rtm.sections)
+            for s, rs in zip(tm.sections, rtm.sections):
+                assert s.history == rs.history
+                assert s.pairs == rs.pairs, (tm.step, s.history)
+
+
+def test_layout_refuses_non_tangent_pairs_like_the_reference():
+    rng = Random(41)
+    refused = 0
+    for trial in range(40):
+        depth, branching, dim = rng.randint(1, 3), rng.randint(2, 4), rng.randint(1, 2)
+        seed = rng.randrange(10**9)
+        a = canonical_representation(random_process(depth, branching, dim, seed=seed))
+        b = canonical_representation(random_process(depth, branching, dim, seed=seed + 1))
+        pq = independent_coupling(a, b if trial % 2 else a)
+        base = canonical_representation(pq.process)
+        try:
+            expected = _ref_build_transport(pq, base)
+        except NotTangent as exc:
+            with pytest.raises(NotTangent) as got:
+                build_transport(pq, base)
+            assert str(got.value) == str(exc)
+            assert got.value.info == exc.info
+            refused += 1
+        else:
+            assert build_transport(pq, base) == expected
+    assert refused >= 25, refused
+
+
+def test_sections_reaching_one_node_share_its_pairs():
+    shared_somewhere = False
+    for pq in _layout_pairs(Random(43), 40):
+        base = canonical_representation(pq.process)
+        by_node = {}
+        sections = [s for tm in build_transport(pq, base) for s in tm.sections]
+        for s in sections:
+            by_node.setdefault(id(locate_node(base, s.history)), []).append(s.pairs)
+        for pairs in by_node.values():
+            assert all(p is pairs[0] for p in pairs)
+        assert len({id(s.pairs) for s in sections}) == len(by_node)
+        shared_somewhere |= len(by_node) < len(sections)
+    assert shared_somewhere
 
 
 # ---------------------------------------------------------------------------
