@@ -9,7 +9,6 @@ from .errors import (
     FormatError,
     NoDiskExit,
     NonPositiveProb,
-    NotAnAtom,
     NotMartingaleDifference,
     NotTangent,
     ProbSumNotOne,
@@ -41,15 +40,12 @@ from .process import (
     validate_process,
 )
 from .representation import (
-    AugmentedRepresentation,
     CellRepresentation,
     Interval,
-    augment,
     canonical_representation,
     conditional_cdf,
     coordinate_recovery,
     evaluate,
-    evaluate_augmented,
     law_of_representation,
     quantile_function,
 )
@@ -61,14 +57,10 @@ from .martingale import (
     verify_zero_sections,
 )
 from .transport import (
-    InterleavingMap,
     SectionTransport,
     TransportMap,
     build_transport,
-    deinterleave,
-    generalized_inverse,
     independent_coupling,
-    interleave,
     verify_measure_preserving,
     verify_transport_consistency,
 )

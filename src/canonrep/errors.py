@@ -63,10 +63,6 @@ class NotTangent(ProcessError):
     """The two components of a pair process have differing step laws."""
 
 
-class NotAnAtom(ProcessError):
-    """The requested value is not an atom of the conditional law."""
-
-
 class DegenerateBatch(ProcessError):
     """A sample batch carries no usable signal (all path sums are zero, or
     their p-th powers overflow floats)."""

@@ -16,7 +16,6 @@ cell chains and, per chain, an independent cell per step for the copy.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +35,7 @@ from .process import (
 from .representation import (
     CellRepresentation,
     RepNode,
+    _locate_cell,
     canonical_representation,
 )
 
@@ -128,8 +128,8 @@ class DecoupledRepresentation:
         node = self.base.root
         direct, copy = [], []
         for x, y in zip(xs, ys):
-            xcell = node.cells[bisect_right(node.cums, x) - 1]
-            ycell = node.cells[bisect_right(node.cums, y) - 1]
+            xcell = _locate_cell(node, x)
+            ycell = _locate_cell(node, y)
             direct.append(xcell.value)
             copy.append(ycell.value)
             node = xcell.child

@@ -248,109 +248,23 @@ def coordinate_recovery(r: CellRepresentation, path: ValuePath) -> tuple[Interva
     return tuple(out)
 
 
-def _unreachable_prefix(prefix: ValuePath, depth: int, reached: int, node, **info):
-    """The UnreachablePrefix for a walk that followed ``reached`` values of
-    ``prefix`` and stopped at ``node``; ``info`` is added when a value is
-    missing."""
-    if reached == len(prefix):
-        return UnreachablePrefix(
-            f"prefix of length {len(prefix)} reaches past the last step",
-            prefix=prefix,
-        )
-    if node is None:
-        return UnreachablePrefix(
-            f"prefix of length {len(prefix)} exceeds depth {depth}", prefix=prefix
-        )
-    return UnreachablePrefix(
-        f"value {fmt_value(prefix[reached])} not present at step {reached + 1}",
-        prefix=prefix,
-        **info,
-    )
-
-
 def locate_node(r: CellRepresentation, prefix: ValuePath) -> RepNode:
     """Sub-partition reached by a realizable value prefix."""
     idx, node = follow_cells(r.root, prefix)
-    if len(idx) < len(prefix) or node is None:
-        raise _unreachable_prefix(prefix, r.depth, len(idx), node, step=len(idx) + 1)
+    k = len(idx)
+    if k < len(prefix):
+        if node is None:
+            raise UnreachablePrefix(
+                f"prefix of length {len(prefix)} exceeds depth {r.depth}", prefix=prefix
+            )
+        raise UnreachablePrefix(
+            f"value {fmt_value(prefix[k])} not present at step {k + 1}",
+            prefix=prefix,
+            step=k + 1,
+        )
+    if node is None:
+        raise UnreachablePrefix(
+            f"prefix of length {len(prefix)} reaches past the last step",
+            prefix=prefix,
+        )
     return node
-
-
-# ---------------------------------------------------------------------------
-# augmentation (tie-break coordinates)
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Exact increasing affine map x -> scale*x + shift."""
-
-    scale: Fraction
-    shift: Fraction
-
-    def apply(self, x) -> Fraction:
-        return self.scale * Fraction(x) + self.shift
-
-    def invert(self, y) -> Fraction:
-        return (Fraction(y) - self.shift) / self.scale
-
-
-def tie_break_map(iv: Interval) -> AffineMap:
-    """The increasing affine bijection from [lo, hi) onto [0, 1)."""
-    scale = 1 / iv.length
-    return AffineMap(scale, -iv.lo * scale)
-
-
-@dataclass(frozen=True)
-class AugNode:
-    maps: tuple[AffineMap, ...]
-    children: tuple[Optional["AugNode"], ...]
-
-
-@dataclass(frozen=True)
-class AugmentedRepresentation:
-    """A representation plus per-cell affine tie-break maps onto [0, 1).
-
-    The pair (cell value, tie-break coordinate) is strictly increasing in
-    the underlying coordinate within every node, which restores
-    invertibility that piecewise-constant steps cannot have on their own.
-    """
-
-    base: CellRepresentation
-    root: AugNode
-
-
-def augment(r: CellRepresentation) -> AugmentedRepresentation:
-    def build(node: RepNode) -> AugNode:
-        maps = tuple(tie_break_map(c.interval) for c in node.cells)
-        kids = tuple(build(c.child) if c.child is not None else None for c in node.cells)
-        return AugNode(maps, kids)
-
-    return AugmentedRepresentation(r, build(r.root))
-
-
-def evaluate_augmented(a: AugmentedRepresentation, xs) -> tuple[tuple[Value, Fraction], ...]:
-    """Per step, the cell value plus the exact tie-break coordinate."""
-    xs = [Fraction(x) for x in xs]
-    if len(xs) != a.base.depth:
-        raise XOutOfRange(f"expected {a.base.depth} coordinates, got {len(xs)}")
-    for k, x in enumerate(xs):
-        if not (0 < x < 1):
-            raise XOutOfRange(f"coordinate {k + 1} = {x} outside (0,1)")
-    node, anode = a.base.root, a.root
-    out = []
-    for x in xs:
-        idx = bisect_right(node.cums, x) - 1
-        cell = node.cells[idx]
-        out.append((cell.value, anode.maps[idx].apply(x)))
-        node, anode = cell.child, anode.children[idx]
-    return tuple(out)
-
-
-def locate_aug_node(a: AugmentedRepresentation, prefix: ValuePath) -> tuple[RepNode, AugNode]:
-    """Base node and its mirror of tie-break maps at a value prefix."""
-    idx, node = follow_cells(a.base.root, prefix)
-    if len(idx) < len(prefix) or node is None:
-        raise _unreachable_prefix(prefix, a.base.depth, len(idx), node)
-    anode = a.root
-    for i in idx:
-        anode = anode.children[i]
-    return node, anode

@@ -1,5 +1,5 @@
 """Measure-preserving transport between the two step functions of a
-tangent pair, plus bit-interleaving of the unit interval.
+tangent pair.
 
 A tangent pair (equal component step laws at every prefix) is first
 represented canonically as one 2d-valued process.  Within each history
@@ -24,10 +24,6 @@ the tilings and the paired lengths.  Both step functions are constant on
 each piece of the common refinement of the source pieces, the cells and
 the cells pulled back through the transport, so the consistency check
 compares them once per piece of that refinement.
-
-Interleaving maps [0,1) into [0,1)^2 by splitting binary digits into odd
-and even positions at a fixed finite precision; dyadic rectangles pull
-back to sets of exactly the right measure.
 """
 
 from __future__ import annotations
@@ -36,29 +32,24 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .errors import DimensionMismatch, NotAnAtom, NotTangent, RaggedDepth, XOutOfRange
+from .errors import DimensionMismatch, NotTangent, RaggedDepth, XOutOfRange
 from .process import (
     Branch,
     CheckResult,
     FiniteProcess,
     Node,
     PairProcess,
-    Value,
     ValuePath,
     are_tangent,
     fmt_prefix,
-    fmt_value,
 )
 from .representation import (
-    AugmentedRepresentation,
     CellRepresentation,
     Interval,
     RepNode,
     canonical_representation,
-    follow_cells,
-    locate_aug_node,
     locate_node,
 )
 
@@ -323,94 +314,3 @@ def verify_transport_consistency(
                             },
                         )
     return CheckResult(True, None)
-
-
-# ---------------------------------------------------------------------------
-# generalized inverse of the augmented evaluation
-
-def generalized_inverse(
-    a: AugmentedRepresentation, prefix: ValuePath, value: Value, tie
-) -> Fraction:
-    """Coordinate in (0,1) that evaluates to (value, tie) at this node.
-
-    Two-sided inverse of the augmented evaluation on every branch: the
-    returned x lies in the branch interval of ``value`` and its tie-break
-    map sends it to ``tie``.
-    """
-    tie = Fraction(tie)
-    if not (0 <= tie < 1):
-        raise XOutOfRange(f"tie-break coordinate {tie} outside [0,1)")
-    node, anode = locate_aug_node(a, prefix)
-    idx, _ = follow_cells(node, (tuple(value),))
-    if not idx:
-        raise NotAnAtom(
-            f"{fmt_value(tuple(value))} is not an atom at {fmt_prefix(prefix)}",
-            prefix=prefix,
-            value=tuple(value),
-        )
-    return anode.maps[idx[0]].invert(tie)
-
-
-# ---------------------------------------------------------------------------
-# bit interleaving
-
-class InterleaveResult(NamedTuple):
-    first: Fraction
-    second: Fraction
-    truncated: bool
-
-
-def interleave(x, bits: int) -> InterleaveResult:
-    """Split the first 2*bits binary digits of x into odd/even positions.
-
-    Odd positions (first, third, ...) go to the first output, even
-    positions to the second.  Digits beyond 2*bits are dropped and
-    reported via the ``truncated`` flag, never raised.
-    """
-    if bits < 1:
-        raise ValueError("bits must be at least 1")
-    x = Fraction(x)
-    if not (0 <= x < 1):
-        raise XOutOfRange(f"interleave argument {x} outside [0,1)")
-    scaled = x * (1 << (2 * bits))
-    num = int(scaled)
-    truncated = scaled != num
-    a = b = 0
-    for j in range(bits):
-        a = (a << 1) | ((num >> (2 * bits - 1 - 2 * j)) & 1)
-        b = (b << 1) | ((num >> (2 * bits - 2 - 2 * j)) & 1)
-    return InterleaveResult(Fraction(a, 1 << bits), Fraction(b, 1 << bits), truncated)
-
-
-def deinterleave(first, second, bits: int) -> Fraction:
-    """Merge two coordinates back into one by interleaving their digits.
-
-    Inverse of ``interleave`` on 2*bits-digit dyadics; extra digits in
-    the inputs are dropped the same way.
-    """
-    if bits < 1:
-        raise ValueError("bits must be at least 1")
-    a = Fraction(first)
-    b = Fraction(second)
-    if not (0 <= a < 1 and 0 <= b < 1):
-        raise XOutOfRange("deinterleave arguments outside [0,1)")
-    na = int(a * (1 << bits))
-    nb = int(b * (1 << bits))
-    num = 0
-    for j in range(bits):
-        num = (num << 1) | ((na >> (bits - 1 - j)) & 1)
-        num = (num << 1) | ((nb >> (bits - 1 - j)) & 1)
-    return Fraction(num, 1 << (2 * bits))
-
-
-@dataclass(frozen=True)
-class InterleavingMap:
-    """Finite-precision measure-preserving map [0,1) -> [0,1)^2."""
-
-    bits: int
-
-    def split(self, x) -> InterleaveResult:
-        return interleave(x, self.bits)
-
-    def join(self, first, second) -> Fraction:
-        return deinterleave(first, second, self.bits)

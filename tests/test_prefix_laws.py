@@ -19,19 +19,16 @@ from canonrep import (
     CheckResult,
     FiniteProcess,
     Node,
-    NotAnAtom,
     PairProcess,
     SizeGuard,
     UnreachablePath,
     UnreachablePrefix,
     are_tangent,
-    augment,
     build_transport,
     canonical_representation,
     conditional_law,
     construct_ci_copy,
     coordinate_recovery,
-    generalized_inverse,
     is_mds,
     iter_prefix_laws,
     joint_law,
@@ -55,7 +52,7 @@ from canonrep.jsonio import (
     process_to_json,
 )
 from canonrep.martingale import component_conditional_means
-from canonrep.representation import locate_aug_node, locate_node
+from canonrep.representation import locate_node
 from canonrep.transport import SectionTransport, TransportMap
 
 from conftest import leaf
@@ -548,17 +545,6 @@ def test_locate_node_unreachable(rep):
         "prefix"}
 
 
-def test_locate_aug_node_unreachable(rep):
-    a = augment(rep)
-    first = rep.root.cells[0].value
-    child = rep.root.cells[0].child.cells[0].value
-    assert set(_raises(UnreachablePrefix, locate_aug_node, a, ((F(99),),))) == {"prefix"}
-    assert set(_raises(UnreachablePrefix, locate_aug_node, a, (first, child))) == {"prefix"}
-    node, anode = locate_aug_node(a, (first,))
-    assert node is rep.root.cells[0].child
-    assert anode is a.root.children[0]
-
-
 def test_coordinate_recovery_unreachable(rep):
     first = rep.root.cells[0].value
     child = rep.root.cells[0].child.cells[0].value
@@ -568,13 +554,6 @@ def test_coordinate_recovery_unreachable(rep):
     assert set(_raises(UnreachablePath, coordinate_recovery, rep, too_long)) == {"path"}
     assert coordinate_recovery(rep, (first, child)) == (
         rep.root.cells[0].interval, rep.root.cells[0].child.cells[0].interval)
-
-
-def test_generalized_inverse_unreachable(rep):
-    a = augment(rep)
-    info = _raises(NotAnAtom, generalized_inverse, a, (), (F(99),), F(1, 2))
-    assert set(info) == {"prefix", "value"}
-    _raises(UnreachablePrefix, generalized_inverse, a, ((F(99),),), (F(0),), F(1, 2))
 
 
 def test_arc_function_unreachable(rep):

@@ -339,3 +339,56 @@ def test_ci_random_decoupled_copies():
         p = random_process(3, 3, 1, seed=100 + seed)
         pq = pair_law(construct_ci_copy(canonical_representation(p)))
         assert satisfies_ci(pq, 1).ok, seed
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+def test_public_names_are_exactly_these():
+    # __all__ is every public name of the package namespace; adding or
+    # dropping an export must change this list too
+    import canonrep
+
+    exported = {
+        # errors
+        "CanonrepError", "DegenerateBatch", "DimensionMismatch", "FormatError",
+        "NoDiskExit", "NonPositiveProb", "NotMartingaleDifference", "NotTangent",
+        "ProbSumNotOne", "ProcessError", "RaggedDepth", "SizeGuard",
+        "StepTooCoarse", "TooCloseToBoundary", "UnreachablePath",
+        "UnreachablePrefix", "XOutOfRange",
+        # process
+        "Branch", "CheckResult", "FiniteProcess", "Node", "PairProcess", "Value",
+        "are_tangent", "conditional_law", "is_mds", "iter_prefix_laws",
+        "joint_law", "make_value", "pair_from_identical", "satisfies_ci",
+        "swap_components", "validate_process",
+        # representation
+        "CellRepresentation", "Interval", "canonical_representation",
+        "conditional_cdf", "coordinate_recovery", "evaluate",
+        "law_of_representation", "quantile_function",
+        # martingale
+        "DecoupledRepresentation", "construct_ci_copy", "pair_law",
+        "represent_mds", "verify_zero_sections",
+        # transport
+        "SectionTransport", "TransportMap", "build_transport",
+        "independent_coupling", "verify_measure_preserving",
+        "verify_transport_consistency",
+        # bench
+        "PairSampleBatch", "SampleBatch", "decoupling_ratio",
+        "exact_moment_ratio", "interleave_paths", "lp_norm", "recover_sums",
+        "sample_paths", "sign_transform",
+        # harmonic
+        "Arc", "ArcFunction", "arc_function", "harmonic_extension",
+        "harmonic_measure", "sample_exit",
+        # embedding
+        "BrownianConfig", "EmbeddedPath", "martingale_check", "simulate_F",
+        "simulate_grid_batch", "simulate_increments",
+        # generate
+        "random_dyadic_mds", "random_independent_process", "random_process",
+        "random_tangent_pair",
+    }
+    # submodules loaded while the package imports
+    submodules = {
+        "bench", "embedding", "errors", "generate", "harmonic", "jsonio",
+        "martingale", "process", "representation", "rng", "transport",
+    }
+    assert set(canonrep.__all__) == exported | submodules

@@ -8,18 +8,16 @@ from canonrep import (
     UnreachablePath,
     UnreachablePrefix,
     XOutOfRange,
-    augment,
     canonical_representation,
     conditional_cdf,
     coordinate_recovery,
     evaluate,
-    evaluate_augmented,
     joint_law,
     law_of_representation,
     quantile_function,
     random_process,
 )
-from canonrep.representation import Interval, tie_break_map
+from canonrep.representation import Interval
 
 from conftest import leaf, v1
 
@@ -250,36 +248,3 @@ def test_recovery_round_trip_random():
         cells = coordinate_recovery(r, path)
         mids = [iv.midpoint for iv in cells]
         assert evaluate(r, mids) == path
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-def test_tie_break_fair_coin(fair_coin):
-    r = canonical_representation(fair_coin)
-    m = tie_break_map(r.root.cells[0].interval)  # [0, 1/2)
-    assert m.apply(F(1, 4)) == F(1, 2)
-    assert m.scale == 2 and m.shift == 0
-
-
-def test_tie_break_affine_interpolation():
-    m = tie_break_map(Interval(F(1, 3), F(1)))
-    # t -> (3t - 1) / 2
-    assert m.apply(F(1, 3)) == 0
-    assert m.apply(F(2, 3)) == F(1, 2)
-
-
-def test_tie_break_round_trip():
-    m = tie_break_map(Interval(F(1, 5), F(3, 4)))
-    for t in (F(1, 5), F(1, 2), F(7, 10)):
-        assert m.invert(m.apply(t)) == t
-
-
-def test_augmented_strictly_increasing_within_node():
-    p = random_process(2, 4, 1, seed=6)
-    a = augment(canonical_representation(p))
-    rng = Random(1)
-    xs = sorted(F(rng.randrange(1, 10**6), 10**6) for _ in range(50))
-    seen = [evaluate_augmented(a, [x, F(1, 2)])[0] for x in xs]
-    assert seen == sorted(seen)
-    assert len(set(seen)) == len(seen)  # strictly increasing pairs

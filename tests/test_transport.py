@@ -10,19 +10,13 @@ from canonrep import (
     Branch,
     FiniteProcess,
     Node,
-    NotAnAtom,
     NotTangent,
     PairProcess,
     XOutOfRange,
-    augment,
     build_transport,
     canonical_representation,
     construct_ci_copy,
-    deinterleave,
-    evaluate_augmented,
-    generalized_inverse,
     independent_coupling,
-    interleave,
     pair_from_identical,
     pair_law,
     random_process,
@@ -34,47 +28,11 @@ from canonrep.process import ONE, ZERO, CheckResult, fmt_prefix, fmt_value
 from canonrep.representation import Interval, locate_node
 from canonrep.transport import (
     IntervalPair,
-    InterleavingMap,
     SectionTransport,
     TransportMap,
     _lcm_grid,
 )
 
-
-
-# ---------------------------------------------------------------------------
-# generalized inverse
-
-def test_generalized_inverse_fair_coin(fair_coin):
-    a = augment(canonical_representation(fair_coin))
-    x = generalized_inverse(a, (), (F(-1),), F(1, 2))
-    assert x == F(1, 4)  # midpoint of [0, 1/2)
-
-
-def test_generalized_inverse_skew(skew_mds):
-    a = augment(canonical_representation(skew_mds))
-    # cell [1/3, 1) carries value +1; tie 0 maps to the left endpoint
-    assert generalized_inverse(a, (), (F(1),), F(0)) == F(1, 3)
-
-
-def test_generalized_inverse_not_an_atom(fair_coin):
-    a = augment(canonical_representation(fair_coin))
-    with pytest.raises(NotAnAtom):
-        generalized_inverse(a, (), (F(0),), F(1, 2))
-
-
-def test_generalized_inverse_round_trip():
-    p = random_process(3, 4, 1, seed=21)
-    a = augment(canonical_representation(p))
-    rng = Random(4)
-    for _ in range(50):
-        xs = [F(rng.randrange(1, 997), 997) for _ in range(3)]
-        steps = evaluate_augmented(a, xs)
-        prefix = ()
-        for k, (value, tie) in enumerate(steps):
-            x = generalized_inverse(a, prefix, value, tie)
-            assert x == xs[k]
-            prefix = prefix + (value,)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +117,12 @@ def test_independent_coupling_tangent_same_process(sign_flip):
     assert all(verify_measure_preserving(tm).ok for tm in maps)
 
 
-def test_transport_agrees_with_generalized_inverse_route():
+def test_transport_agrees_with_quantile_inverse_route():
     # cross-validation of the construction: the transported point can also
-    # be computed as the generalized inverse of the first component's
-    # augmented step partition, fed with the second component's value at u
-    # and u's relative rank within the mass carrying that value
+    # be computed by inverting the first component's step partition on the
+    # block carrying the second component's value at u, at u's relative
+    # rank within the mass carrying that value
     from canonrep import random_tangent_pair
-    from canonrep.representation import Cell, CellRepresentation, _make_rep_node
 
     rng = Random(29)
     for _ in range(5):
@@ -176,7 +133,7 @@ def test_transport_agrees_with_generalized_inverse_route():
         for tm in maps:
             for section in tm.sections:
                 node = locate_node(base, section.history)
-                # depth-1 representation of the first component's step
+                # block of the first component's step partition per value
                 groups: dict = {}
                 for cell in node.cells:
                     first = cell.value[:d]
@@ -184,13 +141,6 @@ def test_transport_agrees_with_generalized_inverse_route():
                         groups[first][1] = cell.interval.hi
                     else:
                         groups[first] = [cell.interval.lo, cell.interval.hi]
-                f_cells = [
-                    Cell(Interval(lo, hi), v, None)
-                    for v, (lo, hi) in sorted(groups.items())
-                ]
-                f_aug = augment(
-                    CellRepresentation(d, 1, _make_rep_node(f_cells))
-                )
                 for _trial in range(20):
                     u = F(rng.randrange(997), 997)
                     holder = next(
@@ -214,7 +164,8 @@ def test_transport_agrees_with_generalized_inverse_route():
                         ),
                         F(0),
                     )
-                    x = generalized_inverse(f_aug, (), second, before / total)
+                    lo, hi = groups[second]
+                    x = lo + (hi - lo) * (before / total)
                     assert section.apply(u) == x
 
 
@@ -685,58 +636,3 @@ def test_section_apply_is_translation():
     assert section.apply(F(3, 4)) == F(1, 4)
     with pytest.raises(XOutOfRange):
         section.apply(F(3, 2))
-
-
-# ---------------------------------------------------------------------------
-# interleaving
-
-def test_interleave_quarter():
-    res = interleave(F(1, 4), 1)  # binary 0.01
-    assert (res.first, res.second) == (F(0), F(1, 2))
-    assert not res.truncated
-
-
-def test_interleave_13_16():
-    res = interleave(F(13, 16), 2)  # binary 0.1101
-    assert (res.first, res.second) == (F(1, 2), F(3, 4))
-
-
-def test_interleave_truncation_reported():
-    res = interleave(F(1, 3), 2)
-    assert res.truncated
-
-
-@given(st.integers(min_value=0, max_value=2**8 - 1), st.integers(1, 4))
-def test_interleave_round_trip(num, bits):
-    x = F(num % (1 << (2 * bits)), 1 << (2 * bits))
-    res = interleave(x, bits)
-    assert deinterleave(res.first, res.second, bits) == x
-    assert not res.truncated
-
-
-@settings(max_examples=30)
-@given(st.integers(1, 3), st.integers(1, 3))
-def test_interleave_preimage_measure_of_dyadic_rectangles(bits, j):
-    # preimage of [0, 2^-j) x [0, 2^-j): count dyadic cells of size 2^-2k
-    j = min(j, bits)
-    m = InterleavingMap(bits)
-    n = 1 << (2 * bits)
-    count = 0
-    for i in range(n):
-        res = m.split(F(i, n))
-        if res.first < F(1, 1 << j) and res.second < F(1, 1 << j):
-            count += 1
-    assert F(count, n) == F(1, 1 << (2 * j))
-
-
-def test_preimage_quarter_rectangle_exact():
-    # measure of preimage of [0,1/2) x [0,1/2) is exactly 1/4 at any precision
-    for bits in (1, 2, 3, 4):
-        n = 1 << (2 * bits)
-        count = sum(
-            1
-            for i in range(n)
-            if interleave(F(i, n), bits).first < F(1, 2)
-            and interleave(F(i, n), bits).second < F(1, 2)
-        )
-        assert F(count, n) == F(1, 4)
