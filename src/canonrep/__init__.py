@@ -2,6 +2,8 @@
 decoupled tangent copies, measure-preserving transports, sign-transform
 benchmarks, and a stopped-Brownian embedding."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CanonrepError,
     DegenerateBatch,
@@ -43,6 +45,7 @@ from .representation import (
     CellRepresentation,
     Interval,
     canonical_representation,
+    cell_bounds,
     conditional_cdf,
     coordinate_recovery,
     evaluate,
@@ -98,6 +101,8 @@ from .generate import (
     random_tangent_pair,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions and classes; not the submodules that imports bind here
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))
 
 __version__ = "0.1.0"

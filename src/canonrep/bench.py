@@ -269,13 +269,13 @@ def exact_moment_ratio(
         nonlocal stored
         direct: dict = {}
         mixed: dict = {}  # x-mixture of the children's copy laws
-        for cell in node.cells:
-            sub_d, sub_e = (ended, ended) if cell.child is None else laws(cell.child)
-            shift(sub_d, cell.value, cell.interval.length, direct)
-            shift(sub_e, origin, cell.interval.length, mixed)
+        for br in node.branches:
+            sub_d, sub_e = (ended, ended) if br.child is None else laws(br.child)
+            shift(sub_d, br.value, br.prob, direct)
+            shift(sub_e, origin, br.prob, mixed)
         copy: dict = {}
-        for cell in node.cells:
-            shift(mixed, cell.value, cell.interval.length, copy)
+        for br in node.branches:
+            shift(mixed, br.value, br.prob, copy)
         stored += len(direct) + len(copy)
         if stored > MAX_ORACLE_SUMS:
             raise SizeGuard(

@@ -259,21 +259,29 @@ def bench(
 # ---------------------------------------------------------------------------
 # skorohod
 
-def _parse_grid(grid_arg: str, depth: int) -> np.ndarray:
+def _parse_grid(grid_arg: str, depth: int, rows: int) -> np.ndarray:
+    """The grid times; refused before any array is built when ``rows``
+    paths would carry more than ``MAX_SAMPLES`` grid values."""
     try:
         if "," in grid_arg:
-            times = np.array([float(x) for x in grid_arg.split(",") if x.strip() != ""])
+            times = [float(x) for x in grid_arg.split(",") if x.strip() != ""]
+            count = len(times)
         else:
             per_block = int(grid_arg)
             if per_block < 1:
                 raise FormatError("grid must name at least one point per block")
-            rel = (np.arange(per_block) + 0.5) / per_block
-            times = np.concatenate([n + rel for n in range(depth)])
+            count = per_block * depth
     except ValueError as exc:
         raise FormatError(f"cannot parse grid {grid_arg!r}: {exc}") from exc
-    if times.size == 0:
+    if count == 0:
         raise FormatError("grid must name at least one time")
-    return times
+    if rows * count > MAX_SAMPLES:
+        raise FormatError(f"a grid of {count} times on {rows} paths holds "
+                          f"{rows * count} values, more than {MAX_SAMPLES}")
+    if "," in grid_arg:
+        return np.array(times)
+    rel = (np.arange(per_block) + 0.5) / per_block
+    return np.concatenate([n + rel for n in range(depth)])
 
 
 @main.command()
@@ -316,11 +324,10 @@ def skorohod(
         dt_base=dt, seed=seed, scheme=scheme, phi_cap=cap
     )
     need_grid = csv_path is not None or svg_path is not None or samples >= 10**4
-    times = _parse_grid(grid, rep.depth) if need_grid else None
+    grid_rows = min(samples, 10**4) if need_grid else 0
+    times = _parse_grid(grid, rep.depth, grid_rows) if need_grid else None
     # one pass: the first 10^4 paths carry the grid, the rest only increments
-    batch, values = emb._simulate_batch(
-        rep, samples, cfg, times, min(samples, 10**4) if need_grid else 0
-    )
+    batch, values = emb._simulate_batch(rep, samples, cfg, times, grid_rows)
     chi = increment_chi_square(rep, batch.increments)
 
     martingale_doc = None

@@ -47,8 +47,15 @@ def _random_value(rng: Random, dimension: int) -> Value:
 def _random_node_law(
     rng: Random, branching: int, dimension: int, mds: bool
 ) -> list[tuple[Value, Fraction]]:
-    """One random conditional law of up to ``branching`` distinct atoms;
-    with ``mds`` the last atom is solved so the mean is exactly zero."""
+    """One random conditional law of up to ``branching`` atoms.
+
+    The drawn atoms are distinct, but with ``mds`` the last atom is then
+    solved so the mean is exactly zero, and it can equal a drawn one; the
+    law then has fewer distinct values than branches (representations
+    merge them).  That is common: 1,807 of the 3,000 ``mds`` trees of seeds
+    0-2,999 (depth 4 or 5, branching 4, dimension 1) have such a node.
+    The draw stays as it is: the benchmark's fixtures come from it.
+    """
     k = rng.randint(1, branching)
     if mds and k == 1:
         values: list[Value] = [(Fraction(0),) * dimension]

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import TooCloseToBoundary
-from .representation import CellRepresentation, RepNode, locate_node
-from .process import ValuePath
+from .process import Node, ValuePath
+from .representation import CellRepresentation, cell_bounds, locate_node
 
 TAU = 2.0 * math.pi
 
@@ -55,15 +55,12 @@ class ArcFunction:
         return self.arcs[-1].value  # theta in the closing rounding gap
 
 
-def _node_arcs(node: RepNode, dimension: int) -> ArcFunction:
+def _node_arcs(node: Node, ends: tuple, dimension: int) -> ArcFunction:
+    """Boundary data of a node whose cell ends are ``ends``."""
     return ArcFunction(
         tuple(
-            Arc(
-                TAU * float(cell.interval.lo),
-                TAU * float(cell.interval.hi),
-                np.array([float(c) for c in cell.value]),
-            )
-            for cell in node.cells
+            Arc(TAU * float(lo), TAU * float(hi), np.array([float(c) for c in br.value]))
+            for br, lo, hi in zip(node.branches, ends, ends[1:])
         ),
         dimension,
     )
@@ -71,7 +68,8 @@ def _node_arcs(node: RepNode, dimension: int) -> ArcFunction:
 
 def arc_function(rep: CellRepresentation, prefix: ValuePath) -> ArcFunction:
     """Boundary data of the node reached by a realizable value prefix."""
-    return _node_arcs(locate_node(rep, prefix), rep.dimension)
+    node = locate_node(rep, prefix)
+    return _node_arcs(node, cell_bounds(node), rep.dimension)
 
 
 class DiskNode:
@@ -85,13 +83,14 @@ class DiskNode:
 
     __slots__ = ("bounds", "values", "arcs", "children")
 
-    def __init__(self, node: RepNode, dimension: int):
-        self.bounds = np.array([float(c) for c in node.cums[1:-1]])
-        self.values = np.array([[float(c) for c in cell.value] for cell in node.cells])
-        self.arcs = _node_arcs(node, dimension)
+    def __init__(self, node: Node, dimension: int):
+        ends = cell_bounds(node)
+        self.bounds = np.array([float(c) for c in ends[1:-1]])
+        self.values = np.array([[float(c) for c in br.value] for br in node.branches])
+        self.arcs = _node_arcs(node, ends, dimension)
         self.children = [
-            DiskNode(cell.child, dimension) if cell.child is not None else None
-            for cell in node.cells
+            DiskNode(br.child, dimension) if br.child is not None else None
+            for br in node.branches
         ]
 
 

@@ -6,9 +6,14 @@ Process format, the single source of truth for fixtures::
     node   = {"branches": [branch, ...]}
     branch = {"value": [num or "p/q", ...], "prob": "p/q", "child": node|null}
 
-Representation format mirrors it with an "interval": ["p/q", "p/q"] per
-branch instead of "prob".  Transport documents hold, per step and per
-history section, the list of [[src_lo, src_hi], [tgt_lo, tgt_hi]] pairs.
+Pair processes add "component_dimension".  A representation is a process
+tree too, and its document is one, except that each branch spells its
+cell as "interval": ["p/q", "p/q"] instead of "prob"; its reader also
+checks that the intervals tile [0,1), that the values ascend strictly and
+that a branch has a child exactly when it is above the last level.  All
+tree documents share one writer and one reader.  Transport documents
+hold, per step and per history section, the list of
+[[src_lo, src_hi], [tgt_lo, tgt_hi]] pairs.
 Rationals are serialized as exact strings; floats appear only in the
 bench / embedding reports, always next to their seed and sample count.
 """
@@ -21,14 +26,8 @@ from pathlib import Path
 from typing import Union
 
 from .errors import FormatError
-from .process import Branch, FiniteProcess, Node, PairProcess, Value
-from .representation import (
-    Cell,
-    CellRepresentation,
-    Interval,
-    RepNode,
-    _make_rep_node,
-)
+from .process import ZERO, Branch, FiniteProcess, Node, PairProcess, Value
+from .representation import CellRepresentation, cell_bounds
 from .transport import TransportMap
 
 FORMAT_VERSION = 1
@@ -62,18 +61,21 @@ def _check_version(doc: dict, expected: int = FORMAT_VERSION) -> None:
 
 
 # ---------------------------------------------------------------------------
-# process format
+# tree documents: processes, pairs and representations
 
-def process_to_json(p: FiniteProcess) -> dict:
+def _tree_to_json(p: FiniteProcess, key: str, spell) -> dict:
+    """The document of a process tree, each branch's weight written under
+    ``key`` as ``spell(node)`` lists it."""
+
     def node_json(node: Node) -> dict:
         return {
             "branches": [
                 {
                     "value": [frac_str(c) for c in br.value],
-                    "prob": frac_str(br.prob),
+                    key: weight,
                     "child": node_json(br.child) if br.child is not None else None,
                 }
-                for br in node.branches
+                for br, weight in zip(node.branches, spell(node))
             ]
         }
 
@@ -85,46 +87,112 @@ def process_to_json(p: FiniteProcess) -> dict:
     }
 
 
-def process_from_json(doc: dict) -> FiniteProcess:
+def _intervals(node: Node) -> list:
+    ends = [frac_str(c) for c in cell_bounds(node)]
+    return [[lo, hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def _tree_header(doc, kind: str) -> tuple[int, int, object]:
     if not isinstance(doc, dict):
-        raise FormatError("process document must be an object")
+        raise FormatError(f"{kind} document must be an object")
     _check_version(doc)
     try:
-        dimension = int(doc["dimension"])
-        depth = int(doc["depth"])
-        root_doc = doc["root"]
+        return int(doc["dimension"]), int(doc["depth"]), doc["root"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed process document: {exc}") from exc
-    # equal subtrees share one Node; children are interned first, so their ids are stable
+        raise FormatError(f"malformed {kind} document: {exc}") from exc
+
+
+def _tree_from_json(root_doc, dimension: int, depth: int, read_branches) -> Node:
+    """The tree of a document.  ``read_branches(node_doc, level, depth,
+    dimension)`` yields a node's (value, prob, child document) triples,
+    checked, one at a time: each child is read before the next branch.
+    Equal subtrees share one Node; children are interned first, so their
+    ids are stable."""
     interned: dict[tuple, Node] = {}
 
-    def node_from(nd) -> Node:
-        if not isinstance(nd, dict) or "branches" not in nd:
-            raise FormatError(f"malformed node: {nd!r}")
-        branches = nd["branches"]
-        if not isinstance(branches, list) or not branches:
-            raise FormatError("node must carry a nonempty branch list")
-        out = []
-        for br in branches:
-            if not isinstance(br, dict):
-                raise FormatError(f"malformed branch: {br!r}")
-            try:
-                value = parse_value(br["value"])
-                prob = parse_frac(br["prob"])
-                child_doc = br.get("child")
-            except KeyError as exc:
-                raise FormatError(f"branch missing key {exc}") from exc
-            if len(value) != dimension:
-                raise FormatError(
-                    f"value {br['value']!r} has dimension {len(value)}, "
-                    f"document declares {dimension}"
-                )
-            child = node_from(child_doc) if child_doc is not None else None
-            out.append(Branch(value, prob, child))
+    def node_from(nd, level: int) -> Node:
+        out = [
+            Branch(value, prob, node_from(child_doc, level + 1)
+                   if child_doc is not None else None)
+            for value, prob, child_doc in read_branches(nd, level, depth, dimension)
+        ]
         key = tuple((br.value, br.prob, id(br.child)) for br in out)
         return interned.setdefault(key, Node(tuple(out)))
 
-    return FiniteProcess(dimension, depth, node_from(root_doc))
+    return node_from(root_doc, 1)
+
+
+def _check_dimension(value: Value, br: dict, dimension: int) -> None:
+    if len(value) != dimension:
+        raise FormatError(
+            f"value {br['value']!r} has dimension {len(value)}, "
+            f"document declares {dimension}"
+        )
+
+
+def _prob_branches(nd, level: int, depth: int, dimension: int):
+    if not isinstance(nd, dict) or "branches" not in nd:
+        raise FormatError(f"malformed node: {nd!r}")
+    branches = nd["branches"]
+    if not isinstance(branches, list) or not branches:
+        raise FormatError("node must carry a nonempty branch list")
+    for br in branches:
+        if not isinstance(br, dict):
+            raise FormatError(f"malformed branch: {br!r}")
+        try:
+            value, prob = parse_value(br["value"]), parse_frac(br["prob"])
+        except KeyError as exc:
+            raise FormatError(f"branch missing key {exc}") from exc
+        _check_dimension(value, br, dimension)
+        yield value, prob, br.get("child")
+
+
+def _interval_branches(nd, level: int, depth: int, dimension: int):
+    """A representation node's cells: the intervals tile [0,1), values
+    ascend strictly, and cells carry children exactly above the last level
+    (the root is level 1)."""
+    branches = nd.get("branches") if isinstance(nd, dict) else None
+    if not isinstance(branches, list) or not branches:
+        raise FormatError(f"malformed representation node: {nd!r}")
+    cursor = ZERO
+    values = []
+    for br in branches:
+        try:
+            lo = parse_frac(br["interval"][0])
+            hi = parse_frac(br["interval"][1])
+            value = parse_value(br["value"])
+            child_doc = br.get("child")
+        except (KeyError, IndexError, TypeError) as exc:
+            raise FormatError(f"malformed representation branch: {exc}") from exc
+        _check_dimension(value, br, dimension)
+        if lo != cursor:
+            raise FormatError(
+                f"intervals do not tile [0,1): expected lo {cursor}, got {lo}"
+            )
+        if not lo < hi <= 1:
+            raise FormatError(f"bad interval [{lo}, {hi})")
+        cursor = hi
+        if (child_doc is None) != (level == depth):
+            raise FormatError(
+                f"a branch at level {level} of a depth-{depth} representation "
+                + ("has no child" if child_doc is None else "has a child")
+            )
+        values.append(value)
+        yield value, hi - lo, child_doc
+    if cursor != 1:
+        raise FormatError(f"intervals stop at {cursor}, not 1")
+    if values != sorted(values) or len(set(values)) != len(values):
+        raise FormatError("values must be strictly ascending within a node")
+
+
+def process_to_json(p: FiniteProcess) -> dict:
+    return _tree_to_json(p, "prob", lambda node: [frac_str(br.prob) for br in node.branches])
+
+
+def process_from_json(doc: dict) -> FiniteProcess:
+    dimension, depth, root = _tree_header(doc, "process")
+    return FiniteProcess(dimension, depth,
+                         _tree_from_json(root, dimension, depth, _prob_branches))
 
 
 def pair_process_to_json(pq: PairProcess) -> dict:
@@ -142,86 +210,16 @@ def pair_process_from_json(doc: dict) -> PairProcess:
         raise FormatError(f"not a valid pair process: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# representation format
-
 def representation_to_json(r: CellRepresentation) -> dict:
-    def node_json(node: RepNode) -> dict:
-        return {
-            "branches": [
-                {
-                    "interval": [frac_str(c.interval.lo), frac_str(c.interval.hi)],
-                    "value": [frac_str(x) for x in c.value],
-                    "child": node_json(c.child) if c.child is not None else None,
-                }
-                for c in node.cells
-            ]
-        }
-
-    return {
-        "format_version": FORMAT_VERSION,
-        "dimension": r.dimension,
-        "depth": r.depth,
-        "root": node_json(r.root),
-    }
+    return _tree_to_json(r, "interval", _intervals)
 
 
 def representation_from_json(doc: dict) -> CellRepresentation:
-    if not isinstance(doc, dict):
-        raise FormatError("representation document must be an object")
-    _check_version(doc)
-    try:
-        dimension = int(doc["dimension"])
-        depth = int(doc["depth"])
-        root_doc = doc["root"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed representation document: {exc}") from exc
+    dimension, depth, root = _tree_header(doc, "representation")
     if depth < 1:
         raise FormatError(f"representation depth must be at least 1, got {depth}")
-
-    def node_from(nd, level: int) -> RepNode:
-        """Node at ``level`` (the root is 1); cells carry children exactly
-        above the last level."""
-        branches = nd.get("branches") if isinstance(nd, dict) else None
-        if not isinstance(branches, list) or not branches:
-            raise FormatError(f"malformed representation node: {nd!r}")
-        cells = []
-        cursor = Fraction(0)
-        for br in branches:
-            try:
-                lo = parse_frac(br["interval"][0])
-                hi = parse_frac(br["interval"][1])
-                value = parse_value(br["value"])
-                child_doc = br.get("child")
-            except (KeyError, IndexError, TypeError) as exc:
-                raise FormatError(f"malformed representation branch: {exc}") from exc
-            if len(value) != dimension:
-                raise FormatError(
-                    f"value {br['value']!r} has dimension {len(value)}, "
-                    f"document declares {dimension}"
-                )
-            if lo != cursor:
-                raise FormatError(
-                    f"intervals do not tile [0,1): expected lo {cursor}, got {lo}"
-                )
-            if not lo < hi <= 1:
-                raise FormatError(f"bad interval [{lo}, {hi})")
-            cursor = hi
-            if (child_doc is None) != (level == depth):
-                raise FormatError(
-                    f"a branch at level {level} of a depth-{depth} representation "
-                    + ("has no child" if child_doc is None else "has a child")
-                )
-            child = node_from(child_doc, level + 1) if child_doc is not None else None
-            cells.append(Cell(Interval(lo, hi), value, child))
-        if cursor != 1:
-            raise FormatError(f"intervals stop at {cursor}, not 1")
-        values = [c.value for c in cells]
-        if values != sorted(values) or len(set(values)) != len(values):
-            raise FormatError("values must be strictly ascending within a node")
-        return _make_rep_node(cells)
-
-    return CellRepresentation(dimension, depth, node_from(root_doc, 1))
+    return CellRepresentation(dimension, depth,
+                              _tree_from_json(root, dimension, depth, _interval_branches))
 
 
 # ---------------------------------------------------------------------------

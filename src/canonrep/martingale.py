@@ -2,7 +2,9 @@
 
 A martingale-difference process (zero conditional mean at every prefix)
 is represented so that every node partition integrates to the zero
-vector: sum over cells of length times value is exactly zero.
+vector: sum over cells of length times value is exactly zero.  A
+representation is a process tree whose branch probabilities are its cell
+lengths, so that sum is read off each node's branches.
 
 The decoupled copy lives on the product square [0,1]^N x [0,1]^N: the
 direct sequence reads its own coordinates, the copy re-reads the same
@@ -32,12 +34,7 @@ from .process import (
     fmt_prefix,
     is_mds,
 )
-from .representation import (
-    CellRepresentation,
-    RepNode,
-    _locate_cell,
-    canonical_representation,
-)
+from .representation import CellRepresentation, _locate_cell, canonical_representation
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,11 @@ def verify_zero_sections(r: CellRepresentation) -> ZeroSectionReport:
             continue
         seen.add(id(node))
         mean = [ZERO] * r.dimension
-        for cell in node.cells:
-            ln = cell.interval.length
-            for i, c in enumerate(cell.value):
-                mean[i] += ln * c
-            if cell.child is not None:
-                stack.append(cell.child)
+        for br in node.branches:
+            for i, c in enumerate(br.value):
+                mean[i] += br.prob * c
+            if br.child is not None:
+                stack.append(br.child)
         worst = max(worst, max((abs(c) for c in mean), default=ZERO))
     return ZeroSectionReport(worst)
 
@@ -151,18 +147,12 @@ def pair_law(d: DecoupledRepresentation) -> PairProcess:
     """
     dim = d.base.dimension
 
-    def build(node: RepNode) -> Node:
+    def build(node: Node) -> Node:
         branches = []
-        for xcell in node.cells:
-            child = build(xcell.child) if xcell.child is not None else None
-            for ycell in node.cells:
-                branches.append(
-                    Branch(
-                        xcell.value + ycell.value,
-                        xcell.interval.length * ycell.interval.length,
-                        child,
-                    )
-                )
+        for x in node.branches:
+            child = build(x.child) if x.child is not None else None
+            for y in node.branches:
+                branches.append(Branch(x.value + y.value, x.prob * y.prob, child))
         return Node(tuple(branches))
 
     process = FiniteProcess(2 * dim, d.base.depth, build(d.base.root))

@@ -13,8 +13,10 @@ branches that happen to carry equal values are aggregated before any law
 is computed or compared.
 
 All objects are immutable after construction and all operations are
-pure, so concurrent reads are safe, and trees may share nodes (``pair_law``
-and ``jsonio.process_from_json`` do).  ``is_mds``, ``are_tangent`` and
+pure, so concurrent reads are safe, and trees may share nodes (``pair_law``,
+``canonical_representation`` and the ``jsonio`` readers do).  A
+``representation.CellRepresentation`` is one of these trees, so everything
+here applies to it.  ``is_mds``, ``are_tangent`` and
 ``satisfies_ci`` visit each distinct prefix class once (``iter_prefix_laws``),
 and ``joint_law`` builds the law below each distinct node once; no check
 enumerates the paths of a pair.

@@ -7,6 +7,13 @@ probabilities, with values in strictly ascending canonical order (the
 increasing rearrangement of the conditional law).  Laying cells out this
 way is exactly what preserves the joint law.
 
+A representation is therefore itself a process tree: a
+``CellRepresentation`` is a ``FiniteProcess`` whose nodes carry strictly
+ascending values and whose branch probabilities are the cell lengths, so
+every process check and law applies to it unchanged.  A cell's interval is
+fixed by the branches before it; ``cell_bounds`` derives a node's cell
+ends, the cumulative probabilities from 0.
+
 Boundary convention: cells are half-open on the right, so a coordinate
 sitting exactly on a cell boundary belongs to the cell on its right.
 The sup-style quantile would assign boundary points to the left atom
@@ -20,12 +27,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import UnreachablePath, UnreachablePrefix, XOutOfRange
 from .process import (
     ONE,
     ZERO,
+    Branch,
     FiniteProcess,
     Node,
     PathLaw,
@@ -35,6 +44,7 @@ from .process import (
     conditional_law,
     fmt_prefix,
     fmt_value,
+    joint_law,
     validate_process,
 )
 
@@ -63,30 +73,16 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class Cell:
-    interval: Interval
-    value: Value
-    child: Optional["RepNode"]
+class CellRepresentation(FiniteProcess):
+    """Nested interval partitions of [0,1) realizing an adapted sequence: a
+    process tree whose branches are the cells of each node, in strictly
+    ascending value order, with the cell lengths as probabilities."""
 
 
-@dataclass(frozen=True)
-class RepNode:
-    cells: tuple[Cell, ...]
-    cums: tuple[Fraction, ...]  # cumulative left endpoints, 0 .. 1
-
-
-@dataclass(frozen=True)
-class CellRepresentation:
-    """Nested interval partitions of [0,1) realizing an adapted sequence."""
-
-    dimension: int
-    depth: int
-    root: RepNode
-
-
-def _make_rep_node(cells: list[Cell]) -> RepNode:
-    cums = [c.interval.lo for c in cells] + [cells[-1].interval.hi]
-    return RepNode(tuple(cells), tuple(cums))
+def cell_bounds(node: Node) -> tuple[Fraction, ...]:
+    """Cell ends of a representation node: 0, then the cumulative branch
+    probabilities, up to 1; cell i is [ends[i], ends[i + 1])."""
+    return tuple(accumulate((br.prob for br in node.branches), initial=ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +126,31 @@ def canonical_representation(p: FiniteProcess) -> CellRepresentation:
     Sibling branches with equal values are aggregated (their probabilities
     summed and their subtrees merged as a mixture) before sorting, so each
     node of the result carries strictly ascending values.  Equal mixtures
-    share one RepNode, so the result shares what ``p`` shares.
+    share one node, so the result shares what ``p`` shares.
     """
     validate_process(p)
     root = _build_node([(p.root, ONE)], p.depth, {})
     return CellRepresentation(p.dimension, p.depth, root)
 
 
-def _build_node(mixture: list[tuple[Node, Fraction]], steps_left: int, memo: dict) -> RepNode:
+def _build_node(mixture: list[tuple[Node, Fraction]], steps_left: int, memo: dict) -> Node:
     key = (steps_left, tuple((id(node), w) for node, w in mixture))
     if key in memo:
         return memo[key]
     law, children = _split_class(mixture, steps_left > 1)
-    cells: list[Cell] = []
-    lo = ZERO
-    for v in sorted(law):
-        hi = lo + law[v]
-        child = _build_node(children[v], steps_left - 1, memo) if steps_left > 1 else None
-        cells.append(Cell(Interval(lo, hi), v, child))
-        lo = hi
-    assert lo == ONE
-    memo[key] = _make_rep_node(cells)
+    memo[key] = Node(tuple(
+        Branch(v, law[v], _build_node(children[v], steps_left - 1, memo)
+               if steps_left > 1 else None)
+        for v in sorted(law)
+    ))
     return memo[key]
 
 
 # ---------------------------------------------------------------------------
 # evaluation and law extraction
 
-def _locate_cell(node: RepNode, x) -> Cell:
-    return node.cells[bisect_right(node.cums, x) - 1]
+def _locate_cell(node: Node, x) -> Branch:
+    return node.branches[bisect_right(cell_bounds(node), x) - 1]
 
 
 def evaluate(r: CellRepresentation, xs) -> ValuePath:
@@ -173,7 +165,7 @@ def evaluate(r: CellRepresentation, xs) -> ValuePath:
     for k, x in enumerate(xs):
         if not (0 < x < 1):
             raise XOutOfRange(f"coordinate {k + 1} = {x} outside (0,1)")
-    node: Optional[RepNode] = r.root
+    node: Optional[Node] = r.root
     out = []
     for x in xs:
         cell = _locate_cell(node, x)
@@ -183,25 +175,14 @@ def evaluate(r: CellRepresentation, xs) -> ValuePath:
 
 
 def law_of_representation(r: CellRepresentation) -> PathLaw:
-    """Exact pushforward of Lebesgue measure under the representation."""
-    law: PathLaw = {}
-
-    def walk(node: RepNode, path: ValuePath, prob: Fraction) -> None:
-        for cell in node.cells:
-            q = prob * cell.interval.length
-            full = path + (cell.value,)
-            if cell.child is None:
-                law[full] = law.get(full, ZERO) + q
-            else:
-                walk(cell.child, full, q)
-
-    walk(r.root, (), ONE)
-    return law
+    """Exact pushforward of Lebesgue measure under the representation: the
+    joint law of the process tree it is."""
+    return joint_law(r)
 
 
 def follow_cells(
-    node: Optional[RepNode], path: ValuePath
-) -> tuple[list[int], Optional[RepNode]]:
+    node: Optional[Node], path: ValuePath
+) -> tuple[list[int], Optional[Node]]:
     """Find cells by value along ``path``, starting at ``node``.
 
     Returns the indices of the cells followed and the node where the walk
@@ -213,11 +194,11 @@ def follow_cells(
     for v in path:
         if node is None:
             break
-        i = next((i for i, cell in enumerate(node.cells) if cell.value == v), None)
+        i = next((i for i, br in enumerate(node.branches) if br.value == v), None)
         if i is None:
             break
         idx.append(i)
-        node = node.cells[i].child
+        node = node.branches[i].child
     return idx, node
 
 
@@ -243,12 +224,13 @@ def coordinate_recovery(r: CellRepresentation, path: ValuePath) -> tuple[Interva
     out = []
     node = r.root
     for i in idx:
-        out.append(node.cells[i].interval)
-        node = node.cells[i].child
+        ends = cell_bounds(node)
+        out.append(Interval(ends[i], ends[i + 1]))
+        node = node.branches[i].child
     return tuple(out)
 
 
-def locate_node(r: CellRepresentation, prefix: ValuePath) -> RepNode:
+def locate_node(r: CellRepresentation, prefix: ValuePath) -> Node:
     """Sub-partition reached by a realizable value prefix."""
     idx, node = follow_cells(r.root, prefix)
     k = len(idx)

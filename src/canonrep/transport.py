@@ -48,8 +48,8 @@ from .process import (
 from .representation import (
     CellRepresentation,
     Interval,
-    RepNode,
     canonical_representation,
+    cell_bounds,
     locate_node,
 )
 
@@ -117,20 +117,20 @@ def build_transport(
     steps: list[list[SectionTransport]] = [[] for _ in range(base.depth)]
     laid_out: dict[int, tuple[IntervalPair, ...]] = {}
 
-    def walk(node: RepNode, prefix: ValuePath) -> None:
+    def walk(node: Node, prefix: ValuePath) -> None:
         pairs = laid_out.get(id(node))
         if pairs is None:
             pairs = laid_out[id(node)] = _section_pairs(node, d)
         steps[len(prefix)].append(SectionTransport(prefix, pairs))
-        for cell in node.cells:
-            if cell.child is not None:
-                walk(cell.child, prefix + (cell.value,))
+        for br in node.branches:
+            if br.child is not None:
+                walk(br.child, prefix + (br.value,))
 
     walk(base.root, ())
     return [TransportMap(step, tuple(s)) for step, s in enumerate(steps, 1)]
 
 
-def _section_pairs(node: RepNode, d: int) -> tuple[IntervalPair, ...]:
+def _section_pairs(node: Node, d: int) -> tuple[IntervalPair, ...]:
     """Each cell's interval with its target: the cells laid end to end from
     0, stably ordered by their second component.
 
@@ -138,14 +138,16 @@ def _section_pairs(node: RepNode, d: int) -> tuple[IntervalPair, ...]:
     one block; with equal component laws, the cells with second component v
     land on exactly that block, in left-to-right order.
     """
-    cells = node.cells
+    cells = node.branches
+    ends = cell_bounds(node)
     targets: list[Optional[Interval]] = [None] * len(cells)
     lo = Fraction(0)
     for i in sorted(range(len(cells)), key=lambda i: cells[i].value[d:]):
-        hi = lo + cells[i].interval.length
+        hi = lo + cells[i].prob
         targets[i] = Interval(lo, hi)
         lo = hi
-    return tuple(IntervalPair(c.interval, t) for c, t in zip(cells, targets))
+    return tuple(IntervalPair(Interval(ends[i], ends[i + 1]), t)
+                 for i, t in enumerate(targets))
 
 
 def independent_coupling(
@@ -167,20 +169,14 @@ def independent_coupling(
     if a.depth != b.depth:
         raise RaggedDepth(f"depths differ: {a.depth} vs {b.depth}")
 
-    def build(na: RepNode, nb: RepNode) -> Node:
+    def build(na: Node, nb: Node) -> Node:
         branches = []
-        for ca in na.cells:
-            for cb in nb.cells:
+        for ca in na.branches:
+            for cb in nb.branches:
                 child = (
                     build(ca.child, cb.child) if ca.child is not None else None
                 )
-                branches.append(
-                    Branch(
-                        ca.value + cb.value,
-                        ca.interval.length * cb.interval.length,
-                        child,
-                    )
-                )
+                branches.append(Branch(ca.value + cb.value, ca.prob * cb.prob, child))
         return Node(tuple(branches))
 
     process = FiniteProcess(2 * a.dimension, a.depth, build(a.root, b.root))
@@ -280,27 +276,34 @@ def verify_transport_consistency(
     those preimages, and one comparison at each such point, in integers on
     the section's lcm grid, proves the equality everywhere.  The witness is
     the first failing point, in pair order and then ascending x.  A section
-    history that ``base`` does not realize raises UnreachablePrefix.
+    history that ``base`` does not realize raises UnreachablePrefix.  The
+    verdict depends on the node and the pieces alone, so a section whose
+    node and ``pairs`` were already checked (``build_transport`` shares
+    them) is not checked again.
     """
     d = component_dim
+    checked: set[tuple[int, int]] = set()
     for tm in maps:
         for s in tm.sections:
             node = locate_node(base, s.history)
-            scale, (src_los, tgt_los, tgt_his, cums) = _lcm_grid(
+            if (id(node), id(s.pairs)) in checked:
+                continue
+            checked.add((id(node), id(s.pairs)))
+            scale, (src_los, tgt_los, tgt_his, ends) = _lcm_grid(
                 [p.source.lo for p in s.pairs],
                 [p.target.lo for p in s.pairs],
                 [p.target.hi for p in s.pairs],
-                node.cums,
+                cell_bounds(node),
             )
-            seconds = [c.value[d:] for c in node.cells]
-            firsts = [c.value[:d] for c in node.cells]
+            seconds = [br.value[d:] for br in node.branches]
+            firsts = [br.value[:d] for br in node.branches]
             for a, b, e in zip(src_los, tgt_los, tgt_his):
-                inside = cums[bisect_right(cums, a):bisect_left(cums, a + e - b)]
-                pulled = cums[bisect_right(cums, b):bisect_left(cums, e)]
+                inside = ends[bisect_right(ends, a):bisect_left(ends, a + e - b)]
+                pulled = ends[bisect_right(ends, b):bisect_left(ends, e)]
                 for x in sorted({a, *inside, *(a + c - b for c in pulled)}):
                     y = b + (x - a)
-                    second_at_x = seconds[bisect_right(cums, x) - 1]
-                    first_at_y = firsts[bisect_right(cums, y) - 1]
+                    second_at_x = seconds[bisect_right(ends, x) - 1]
+                    first_at_y = firsts[bisect_right(ends, y) - 1]
                     if second_at_x != first_at_y:
                         return CheckResult(
                             False,

@@ -5,10 +5,17 @@ from fractions import Fraction as F
 import pytest
 
 from canonrep import Branch, FiniteProcess, Node, joint_law
+from canonrep.representation import Interval, cell_bounds
 
 
 def leaf(*pairs):
     return Node(tuple(Branch(v, p, None) for v, p in pairs))
+
+
+def cells(node: Node) -> list[tuple[Interval, Branch]]:
+    """Each branch of a representation node with its cell, from ``cell_bounds``."""
+    ends = cell_bounds(node)
+    return [(Interval(lo, hi), br) for lo, hi, br in zip(ends, ends[1:], node.branches)]
 
 
 def unshared(node: Node) -> Node:

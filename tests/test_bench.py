@@ -308,10 +308,10 @@ def _enumerated_moments(rep, ps):
     moments = {p: [F(0), F(0)] for p in ps}
 
     def rec(node, prob, sd, se):
-        for xcell in node.cells:
+        for xcell in node.branches:
             sd2 = tuple(a + b for a, b in zip(sd, xcell.value))
-            for ycell in node.cells:
-                q = prob * xcell.interval.length * ycell.interval.length
+            for ycell in node.branches:
+                q = prob * xcell.prob * ycell.prob
                 se2 = tuple(a + b for a, b in zip(se, ycell.value))
                 if xcell.child is None:
                     norm_d = sum((c * c for c in sd2), F(0))

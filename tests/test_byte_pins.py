@@ -236,3 +236,58 @@ def test_one_pass_batch_matches_both_samplers(pin_rep, scheme):
         alone.restarts, alone.coarse_blocks, alone.total_blocks)
     grid_values, _, _ = simulate_grid_batch(pin_rep, GRID, grid_count, cfg)
     assert values.tobytes() == grid_values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# exact documents of ``represent``, ``decouple``, ``transport`` and
+# ``transport --in2`` on ``gen --mds`` fixtures
+
+# transport --in2 couples the representation with itself: tangent at depth
+# 1, NotTangent (exit 1, message pinned) on the deeper, history-dependent trees
+EXACT_FIXTURES = {  # name: (depth, branching, dimension, seed)
+    "d1-b4-dim2": (1, 4, 2, 11),
+    "d2-b3-dim1": (2, 3, 1, 7),
+    "d3-b3-dim2": (3, 3, 2, 8),
+    "d4-b3-dim1": (4, 3, 1, 9),
+    "d4-b2-dim2": (4, 2, 2, 10),
+}
+
+EXACT_PINS = {
+    "d1-b4-dim2":
+        "e2248094798eee6486dce2971e007a6b589cd55361a383208180b62fad9632db",
+    "d2-b3-dim1":
+        "e4378db4b65b928759b4572e88702378ba60a430ae95bd17fc3a828b3ca9ada7",
+    "d3-b3-dim2":
+        "8e7aa1314c3794163b3eb7732f189e67eecdc995a079d226098a4825e230b786",
+    "d4-b2-dim2":
+        "ba03e87b20aae0866466f3c1bab0cb5b112138aa5d07e1cf205291d18be28adc",
+    "d4-b3-dim1":
+        "7a81f07917ece2691eef1ff0260e6e12c4fe918f397d2eaae5e18aa6523e9deb",
+}
+
+
+def _exact_documents(name, tmp_path):
+    depth, branching, dim, seed = EXACT_FIXTURES[name]
+    runner = CliRunner()
+    proc, rep, pair = (tmp_path / f for f in ("p.json", "r.json", "pq.json"))
+    steps = [
+        ["gen", "--depth", str(depth), "--branching", str(branching), "--dimension",
+         str(dim), "--mds", "--seed", str(seed), "--out", str(proc)],
+        ["represent", "--in", str(proc), "--out", str(rep)],
+        ["decouple", "--in", str(rep), "--out", str(pair)],
+        ["transport", "--in", str(pair), "--out", str(tmp_path / "t.json")],
+        ["transport", "--in", str(rep), "--in2", str(rep), "--out",
+         str(tmp_path / "t2.json")],
+    ]
+    digests = []
+    for args in steps:
+        res = runner.invoke(main, args)
+        out = tmp_path / args[-1]
+        digests.append(_sha(res.exit_code, res.stdout, res.stderr,
+                            out.read_bytes() if out.exists() else b""))
+    return _sha(*digests[1:])
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_FIXTURES))
+def test_exact_document_bytes(tmp_path, name):
+    assert _exact_documents(name, tmp_path) == EXACT_PINS[name]

@@ -567,8 +567,14 @@ def test_skorohod_coarse_guard_counts_every_block(runner, tmp_path):
 @pytest.mark.parametrize(
     "grid, code, message",
     [("0", 2, "at least one point per block"), ("x", 2, "cannot parse grid"),
-     (",", 2, "at least one time"), ("1,9", 1, "XOutOfRange")],
-    ids=["zero", "not-a-number", "empty", "out-of-range"],
+     (",", 2, "at least one time"), ("1,9", 1, "XOutOfRange"),
+     # 10^4 grid paths: 2 * 10^5 and 2 * 10^12 times per path, and 1001 listed
+     ("100000", 2, "a grid of 200000 times on 10000 paths holds 2000000000 values, "
+                   "more than 10000000"),
+     ("1000000000000", 2, "a grid of 2000000000000 times on 10000 paths"),
+     (",".join(["0.5"] * 1001), 2, "a grid of 1001 times on 10000 paths")],
+    ids=["zero", "not-a-number", "empty", "out-of-range", "too-many-values",
+         "too-many-per-block", "too-long-list"],
 )
 def test_skorohod_bad_grid_reported_before_simulating(runner, tmp_path, grid, code,
                                                        message):

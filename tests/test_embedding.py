@@ -101,7 +101,7 @@ def test_f_freezes_after_exit(mds_rep):
 def test_f_increments_realizable(mds_rep):
     cfg = BrownianConfig(seed=7, scheme="exit_sample")
     path = simulate_F(mds_rep, [0.5, 1.5], cfg)
-    atoms = {float(c.value[0]) for c in mds_rep.root.cells}
+    atoms = {float(c.value[0]) for c in mds_rep.root.branches}
     assert path.increments[0, 0] in atoms
 
 

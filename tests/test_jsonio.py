@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -35,11 +36,11 @@ def test_parse_frac_forms():
     assert parse_frac("3") == F(3)
     assert parse_frac(2) == F(2)
     assert parse_frac(0.5) == F(1, 2)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="cannot parse rational from 'x/y'"):
         parse_frac("x/y")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="cannot parse rational from None$"):
         parse_frac(None)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="cannot parse rational from '1/0'"):
         parse_frac("1/0")
 
 
@@ -55,14 +56,14 @@ def test_process_rejects_bad_version():
     p = random_process(1, 2, 1, seed=1)
     doc = process_to_json(p)
     doc["format_version"] = 99
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^unsupported format_version 99$"):
         process_from_json(doc)
 
 
 def test_process_rejects_missing_keys():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^malformed process document: 'depth'$"):
         process_from_json({"format_version": 1, "dimension": 1})
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^node must carry a nonempty branch list$"):
         process_from_json({"format_version": 1, "dimension": 1, "depth": 1,
                            "root": {"branches": []}})
 
@@ -74,7 +75,9 @@ def test_process_rejects_dimension_mismatch():
         "depth": 1,
         "root": {"branches": [{"value": ["1"], "prob": "1", "child": None}]},
     }
-    with pytest.raises(FormatError):
+    with pytest.raises(
+        FormatError, match=re.escape("value ['1'] has dimension 1, document declares 2")
+    ):
         process_from_json(doc)
 
 
@@ -99,7 +102,9 @@ def test_representation_rejects_gap():
             ]
         },
     }
-    with pytest.raises(FormatError):
+    with pytest.raises(
+        FormatError, match=re.escape("intervals do not tile [0,1): expected lo 1/3, got 1/2")
+    ):
         representation_from_json(doc)
 
 
@@ -115,8 +120,50 @@ def test_representation_rejects_unsorted_values():
             ]
         },
     }
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^values must be strictly ascending within a node$"):
         representation_from_json(doc)
+
+
+def _doc(root, depth=1):
+    return {"format_version": 1, "dimension": 1, "depth": depth, "root": root}
+
+
+def _cells(*cells):
+    return {"branches": [{"interval": [lo, hi], "value": [v], "child": child}
+                         for lo, hi, v, child in cells]}
+
+
+@pytest.mark.parametrize("read, doc, message", [
+    (process_from_json, [], "process document must be an object"),
+    (representation_from_json, [], "representation document must be an object"),
+    (process_from_json, _doc({"nodes": []}), "malformed node: {'nodes': []}"),
+    (representation_from_json, _doc({"nodes": []}),
+     "malformed representation node: {'nodes': []}"),
+    (representation_from_json, _doc({"branches": []}),
+     "malformed representation node: {'branches': []}"),
+    (process_from_json, _doc({"branches": [{"value": ["1"], "child": None}]}),
+     "branch missing key 'prob'"),
+    (process_from_json, _doc({"branches": [5]}), "malformed branch: 5"),
+    (representation_from_json, _doc({"branches": [{"value": ["1"], "child": None}]}),
+     "malformed representation branch: 'interval'"),
+    (representation_from_json, _doc(_cells(("0", "0", "1", None), ("0", "1", "2", None))),
+     "bad interval [0, 0)"),
+    (representation_from_json, _doc(_cells(("0", "1", "1", _cells(("0", "1", "1", None))))),
+     "a branch at level 1 of a depth-1 representation has a child"),
+    (representation_from_json, _doc(_cells(("0", "1", "1", None)), depth=2),
+     "a branch at level 1 of a depth-2 representation has no child"),
+    (representation_from_json, _doc(_cells(("0", "1/2", "1", None))),
+     "intervals stop at 1/2, not 1"),
+    (representation_from_json, _doc(_cells(("0", "1", "1", None)), depth=0),
+     "representation depth must be at least 1, got 0"),
+], ids=["process-not-object", "representation-not-object", "process-node-no-branches",
+        "representation-node-no-branches", "representation-node-empty",
+        "process-branch-missing-key", "process-branch-not-object",
+        "representation-branch-missing-key", "bad-interval", "child-past-last-level",
+        "no-child-above-last-level", "intervals-stop-short", "depth-below-one"])
+def test_reader_rejections_name_the_fault(read, doc, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read(doc)
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -129,7 +176,7 @@ def test_dump_load_round_trip(tmp_path):
 def test_load_rejects_truncated_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"format_version": 1, "dimension"')
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^cannot read .*broken.json: Expecting ':'"):
         load_json(path)
 
 

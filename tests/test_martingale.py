@@ -25,9 +25,9 @@ from canonrep import (
 )
 from canonrep.martingale import component_conditional_means
 from canonrep.process import _map_values
-from canonrep.representation import Cell, CellRepresentation, Interval, _make_rep_node
+from canonrep.representation import CellRepresentation
 
-from conftest import leaf, v1
+from conftest import cells, leaf, v1
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ from conftest import leaf, v1
 
 def test_represent_fair_coin(fair_coin):
     r = represent_mds(fair_coin)
-    assert [(c.interval.lo, c.interval.hi, c.value) for c in r.root.cells] == [
+    assert [(iv.lo, iv.hi, br.value) for iv, br in cells(r.root)] == [
         (F(0), F(1, 2), (F(-1),)),
         (F(1, 2), F(1), (F(1),)),
     ]
@@ -61,11 +61,7 @@ def test_zero_sections_nonzero_deviation():
 
 def test_zero_sections_perturbed_lengths():
     # fair-coin values with lengths (1/3, 2/3): deviation 1/3
-    cells = [
-        Cell(Interval(F(0), F(1, 3)), (F(-1),), None),
-        Cell(Interval(F(1, 3), F(1)), (F(1),), None),
-    ]
-    r = CellRepresentation(1, 1, _make_rep_node(cells))
+    r = CellRepresentation(1, 1, leaf((v1(-1), F(1, 3)), (v1(1), F(2, 3))))
     assert verify_zero_sections(r).max_abs == F(1, 3)
 
 
@@ -75,7 +71,7 @@ def test_zero_sections_nonzero_section_in_a_shared_node():
     shared = leaf((v1(-1), F(1, 4)), (v1(3), F(3, 4)))
     root = Node((Branch(v1(-1), F(1, 2), shared), Branch(v1(1), F(1, 2), shared)))
     r = canonical_representation(FiniteProcess(1, 2, root))
-    assert r.root.cells[0].child is r.root.cells[1].child
+    assert r.root.branches[0].child is r.root.branches[1].child
     report = verify_zero_sections(r)
     assert report.max_abs == 2
     with pytest.raises(NotMartingaleDifference) as exc:

@@ -52,10 +52,10 @@ from canonrep.jsonio import (
     process_to_json,
 )
 from canonrep.martingale import component_conditional_means
-from canonrep.representation import locate_node
+from canonrep.representation import cell_bounds, locate_node
 from canonrep.transport import SectionTransport, TransportMap
 
-from conftest import leaf
+from conftest import cells, leaf
 
 ZERO, ONE = F(0), F(1)
 
@@ -533,27 +533,27 @@ def _raises(exc_type, fn, *args):
 
 
 def test_locate_node_unreachable(rep):
-    first = rep.root.cells[0].value
+    first = rep.root.branches[0].value
     missing = (F(99),)
     info = _raises(UnreachablePrefix, locate_node, rep, (missing,))
     assert set(info) == {"prefix", "step"} and info["step"] == 1
     assert set(_raises(UnreachablePrefix, locate_node, rep, (first, missing))) == {
         "prefix", "step"}
-    child = rep.root.cells[0].child.cells[0].value
+    child = rep.root.branches[0].child.branches[0].value
     assert set(_raises(UnreachablePrefix, locate_node, rep, (first, child))) == {"prefix"}
     assert set(_raises(UnreachablePrefix, locate_node, rep, (first, child, missing))) == {
         "prefix"}
 
 
 def test_coordinate_recovery_unreachable(rep):
-    first = rep.root.cells[0].value
-    child = rep.root.cells[0].child.cells[0].value
+    first = rep.root.branches[0].value
+    child = rep.root.branches[0].child.branches[0].value
     info = _raises(UnreachablePath, coordinate_recovery, rep, (first, (F(99),)))
     assert set(info) == {"path", "step"} and info["step"] == 2
     too_long = (first, child, first)
     assert set(_raises(UnreachablePath, coordinate_recovery, rep, too_long)) == {"path"}
     assert coordinate_recovery(rep, (first, child)) == (
-        rep.root.cells[0].interval, rep.root.cells[0].child.cells[0].interval)
+        cells(rep.root)[0][0], cells(rep.root.branches[0].child)[0][0])
 
 
 def test_arc_function_unreachable(rep):
@@ -578,9 +578,9 @@ def test_compiled_tree_matches_arc_function_and_cells():
     rep = represent_mds(random_process(3, 4, 2, seed=8, mds=True))
 
     def walk(compiled, node, prefix):
-        assert np.array_equal(compiled.bounds, [float(c) for c in node.cums[1:-1]])
+        assert np.array_equal(compiled.bounds, [float(c) for c in cell_bounds(node)[1:-1]])
         assert np.array_equal(
-            compiled.values, [[float(c) for c in cell.value] for cell in node.cells]
+            compiled.values, [[float(c) for c in cell.value] for cell in node.branches]
         )
         arcs = arc_function(rep, prefix)
         assert compiled.arcs.dimension == arcs.dimension
@@ -588,7 +588,7 @@ def test_compiled_tree_matches_arc_function_and_cells():
         assert [(a.lo, a.hi) for a in compiled.arcs.arcs] == bounds
         for got, want in zip(compiled.arcs.arcs, arcs.arcs):
             assert np.array_equal(got.value, want.value)
-        for sub, cell in zip(compiled.children, node.cells):
+        for sub, cell in zip(compiled.children, node.branches):
             if cell.child is None:
                 assert sub is None
             else:

@@ -110,9 +110,9 @@ def test_law_preservation_with_duplicate_siblings(p):
     stack = [r.root]
     while stack:
         node = stack.pop()
-        values = [c.value for c in node.cells]
+        values = [c.value for c in node.branches]
         assert len(set(values)) == len(values)
-        stack.extend(c.child for c in node.cells if c.child is not None)
+        stack.extend(c.child for c in node.branches if c.child is not None)
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,9 +17,9 @@ from canonrep import (
     quantile_function,
     random_process,
 )
-from canonrep.representation import Interval
+from canonrep.representation import Interval, cell_bounds
 
-from conftest import leaf, v1
+from conftest import cells, leaf, v1
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +75,11 @@ def test_quantile_matches_partition():
     def walk(node, prefix):
         for _ in range(1000):
             x = F(rng.randrange(1, 10**6), 10**6)
-            cell = node.cells[
-                max(i for i, c in enumerate(node.cums[:-1]) if c <= x)
+            cell = node.branches[
+                max(i for i, c in enumerate(cell_bounds(node)[:-1]) if c <= x)
             ]
             assert quantile_function(p, prefix, x) == cell.value
-        for cell in node.cells:
+        for cell in node.branches:
             if cell.child is not None:
                 walk(cell.child, prefix + (cell.value,))
 
@@ -91,27 +91,24 @@ def test_quantile_matches_partition():
 
 def test_fair_coin_partition(fair_coin):
     r = canonical_representation(fair_coin)
-    cells = r.root.cells
-    assert [(c.interval.lo, c.interval.hi) for c in cells] == [
+    assert [(iv.lo, iv.hi) for iv, _ in cells(r.root)] == [
         (F(0), F(1, 2)),
         (F(1, 2), F(1)),
     ]
-    assert [c.value for c in cells] == [(F(-1),), (F(1),)]
+    assert [br.value for br in r.root.branches] == [(F(-1),), (F(1),)]
 
 
 def test_skew_partition_sorted_ascending(skew_mds):
     r = canonical_representation(skew_mds)
-    cells = r.root.cells
-    assert [c.value for c in cells] == [(F(-2),), (F(1),)]
-    assert (cells[0].interval.lo, cells[0].interval.hi) == (F(0), F(1, 3))
+    assert [br.value for br in r.root.branches] == [(F(-2),), (F(1),)]
+    assert cell_bounds(r.root)[:2] == (F(0), F(1, 3))
 
 
 def test_sign_flip_subpartition(sign_flip):
     r = canonical_representation(sign_flip)
-    first = r.root.cells[0]
-    assert first.interval == Interval(F(0), F(1, 2))
-    sub = first.child.cells
-    assert [(c.interval.lo, c.interval.hi, c.value) for c in sub] == [
+    first_cell, first = cells(r.root)[0]
+    assert first_cell == Interval(F(0), F(1, 2))
+    assert [(iv.lo, iv.hi, c.value) for iv, c in cells(first.child)] == [
         (F(0), F(1, 2), (F(-1),)),
         (F(1, 2), F(1), (F(1),)),
     ]
@@ -123,10 +120,10 @@ def test_values_strictly_ascending_everywhere():
         stack = [r.root]
         while stack:
             node = stack.pop()
-            values = [c.value for c in node.cells]
+            values = [c.value for c in node.branches]
             assert values == sorted(values)
             assert len(set(values)) == len(values)
-            stack.extend(c.child for c in node.cells if c.child is not None)
+            stack.extend(c.child for c in node.branches if c.child is not None)
 
 
 def test_section_lengths_match_conditional_probs():
@@ -137,8 +134,8 @@ def test_section_lengths_match_conditional_probs():
         from canonrep import conditional_law
 
         law = dict(conditional_law(p, prefix))
-        for cell in node.cells:
-            assert cell.interval.length == law[cell.value]
+        for iv, cell in cells(node):
+            assert iv.length == law[cell.value]
             if cell.child is not None:
                 walk(cell.child, prefix + (cell.value,))
 
@@ -163,11 +160,11 @@ def test_duplicate_value_branches_merge_with_mixture_children():
         ),
     )
     r = canonical_representation(root)
-    assert len(r.root.cells) == 2
-    merged = r.root.cells[0]
+    assert len(r.root.branches) == 2
+    merged_cell, merged = cells(r.root)[0]
     assert merged.value == (F(1),)
-    assert merged.interval.length == F(1, 2)
-    sub = {c.value: c.interval.length for c in merged.child.cells}
+    assert merged_cell.length == F(1, 2)
+    sub = {c.value: iv.length for iv, c in cells(merged.child)}
     assert sub == {(F(10),): F(1, 2), (F(20),): F(1, 2)}
     assert law_of_representation(r) == joint_law(root)
 

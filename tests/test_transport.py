@@ -25,7 +25,7 @@ from canonrep import (
 )
 from canonrep import are_tangent, random_independent_process, random_tangent_pair, swap_components
 from canonrep.process import ONE, ZERO, CheckResult, fmt_prefix, fmt_value
-from canonrep.representation import Interval, locate_node
+from canonrep.representation import Interval, cell_bounds, locate_node
 from canonrep.transport import (
     IntervalPair,
     SectionTransport,
@@ -33,6 +33,7 @@ from canonrep.transport import (
     _lcm_grid,
 )
 
+from conftest import cells
 
 
 # ---------------------------------------------------------------------------
@@ -132,34 +133,34 @@ def test_transport_agrees_with_quantile_inverse_route():
         d = pq.component_dim
         for tm in maps:
             for section in tm.sections:
-                node = locate_node(base, section.history)
+                node = cells(locate_node(base, section.history))
                 # block of the first component's step partition per value
                 groups: dict = {}
-                for cell in node.cells:
+                for iv, cell in node:
                     first = cell.value[:d]
                     if first in groups:
-                        groups[first][1] = cell.interval.hi
+                        groups[first][1] = iv.hi
                     else:
-                        groups[first] = [cell.interval.lo, cell.interval.hi]
+                        groups[first] = [iv.lo, iv.hi]
                 for _trial in range(20):
                     u = F(rng.randrange(997), 997)
-                    holder = next(
-                        c for c in node.cells if c.interval.contains(u)
+                    held, holder = next(
+                        (iv, c) for iv, c in node if iv.contains(u)
                     )
                     second = holder.value[d:]
                     before = sum(
                         (
-                            c.interval.length
-                            for c in node.cells
+                            iv.length
+                            for iv, c in node
                             if c.value[d:] == second
-                            and c.interval.hi <= holder.interval.lo
+                            and iv.hi <= held.lo
                         ),
                         F(0),
-                    ) + (u - holder.interval.lo)
+                    ) + (u - held.lo)
                     total = sum(
                         (
-                            c.interval.length
-                            for c in node.cells
+                            iv.length
+                            for iv, c in node
                             if c.value[d:] == second
                         ),
                         F(0),
@@ -178,25 +179,25 @@ def _ref_section_pairs(node, d):
     second component."""
     group_range = {}
     last_first = None
-    for cell in node.cells:
+    for iv, cell in cells(node):
         first = cell.value[:d]
         if first in group_range:
             if last_first != first:
                 raise NotTangent(f"first-component group {fmt_value(first)} is not contiguous")
-            group_range[first][1] = cell.interval.hi
+            group_range[first][1] = iv.hi
         else:
-            group_range[first] = [cell.interval.lo, cell.interval.hi]
+            group_range[first] = [iv.lo, iv.hi]
         last_first = first
     cursor = {v: rng[0] for v, rng in group_range.items()}
     pairs = []
-    for cell in node.cells:
+    for iv, cell in cells(node):
         second = cell.value[d:]
         if second not in group_range:
             raise NotTangent(f"second-component value {fmt_value(second)} has no matching "
                              f"first-component group")
         start = cursor[second]
-        cursor[second] = start + cell.interval.length
-        pairs.append(IntervalPair(cell.interval, Interval(start, cursor[second])))
+        cursor[second] = start + iv.length
+        pairs.append(IntervalPair(iv, Interval(start, cursor[second])))
     for v, rng in group_range.items():
         if cursor[v] != rng[1]:
             raise NotTangent(f"group {fmt_value(v)} received mass {cursor[v] - rng[0]}, "
@@ -216,7 +217,7 @@ def _ref_build_transport(pq, base):
         if len(prefix) == length:
             yield prefix, node
             return
-        for cell in node.cells:
+        for cell in node.branches:
             if cell.child is not None:
                 yield from chains(cell.child, prefix + (cell.value,), length)
 
@@ -313,12 +314,12 @@ def _sampled_consistency(base, maps, component_dim, points_per_section=1000, see
             scale, (src_los, tgt_los, cums, _, _) = _lcm_grid(
                 [p.source.lo for p in s.pairs],
                 [p.target.lo for p in s.pairs],
-                node.cums,
+                cell_bounds(node),
                 [p.source.hi for p in s.pairs],
                 [p.target.hi for p in s.pairs],
             )
-            seconds = [c.value[d:] for c in node.cells]
-            firsts = [c.value[:d] for c in node.cells]
+            seconds = [c.value[d:] for c in node.branches]
+            firsts = [c.value[:d] for c in node.branches]
             for _ in range(points_per_section):
                 x = rng.randrange(scale)
                 i = bisect_right(src_los, x) - 1
@@ -349,7 +350,7 @@ def _mutations(section: SectionTransport):
 
 def _cell_value(node, x):
     # the cell holding x, read off the cumulative ends
-    return node.cells[max(i for i, c in enumerate(node.cums) if c <= x)].value
+    return node.branches[max(i for i, c in enumerate(cell_bounds(node)) if c <= x)].value
 
 
 def test_consistency_sweep_agrees_with_sampled_reference():
@@ -429,7 +430,7 @@ def test_consistency_sweep_finds_a_mismatch_the_sampler_misses():
     )
     base = canonical_representation(FiniteProcess(2, 1, root))
     identity = SectionTransport(
-        (), tuple(IntervalPair(c.interval, c.interval) for c in base.root.cells)
+        (), tuple(IntervalPair(iv, iv) for iv, _ in cells(base.root))
     )
     maps = [TransportMap(1, (identity,))]
     assert verify_measure_preserving(identity).ok
