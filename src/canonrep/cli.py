@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import embedding as emb
-from .errors import FormatError, ProcessError
+from .errors import FormatError, ProcessError, SizeGuard
 from .generate import random_process
 from .jsonio import (
     FORMAT_VERSION,
@@ -36,7 +36,7 @@ from .jsonio import (
     transport_to_json,
 )
 from .martingale import construct_ci_copy, pair_law, represent_mds
-from .process import joint_law, validate_process
+from .process import Node, joint_law, validate_process
 from .representation import canonical_representation, law_of_representation
 from .rng import GENERATOR_ID
 from .stats import chi_square_gof
@@ -53,6 +53,8 @@ SIGNIFICANCE = 0.01
 SEED_RANGE = click.IntRange(0, 2**64 - 1)
 # keeps every per-sample array of one run within a few GiB
 MAX_SAMPLES = 10**7
+# above every depth-5, branching-4 pair (at most 69,905 sections)
+MAX_SECTIONS = 10**5
 
 
 def _guarded(fn):
@@ -164,6 +166,14 @@ def decouple(in_path: str, out_path: str, quiet: bool) -> None:
 # ---------------------------------------------------------------------------
 # transport
 
+def _sections(node: Node, counts: dict) -> int:
+    """The sections of a transport on ``node``'s tree, counted per distinct node."""
+    if id(node) not in counts:
+        counts[id(node)] = 1 + sum(_sections(br.child, counts) for br in node.branches
+                                   if br.child is not None)
+    return counts[id(node)]
+
+
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(),
               help="Pair-process JSON, or a representation JSON with --in2.")
@@ -174,17 +184,20 @@ def decouple(in_path: str, out_path: str, quiet: bool) -> None:
 @_guarded
 def transport(in_path: str, in2_path: str, out_path: str, quiet: bool) -> None:
     """Build per-step measure-preserving transports for a tangent pair."""
-    if in2_path is None:
+    if in2_path is None:  # canonical_representation validates the pair
         pq = pair_process_from_json(load_json(in_path))
-        validate_process(pq.process)
     else:
         rep_a = representation_from_json(load_json(in_path))
         rep_b = representation_from_json(load_json(in2_path))
         pq = independent_coupling(rep_a, rep_b)
-    maps = build_transport(pq)
+    base = canonical_representation(pq.process)
+    n_sections = _sections(base.root, {})
+    if n_sections > MAX_SECTIONS:
+        raise SizeGuard(f"the transport would hold {n_sections} sections, "
+                        f"more than {MAX_SECTIONS}", sections=n_sections, limit=MAX_SECTIONS)
+    maps = build_transport(pq, base)
     ok = all(verify_measure_preserving(tm).ok for tm in maps)
     dump_json(transport_to_json(maps, pq.process.dimension), out_path)
-    n_sections = sum(len(tm.sections) for tm in maps)
     _say(quiet, f"measure preserving: {str(ok).lower()} "
                 f"({len(maps)} steps, {n_sections} sections)")
     if not ok:

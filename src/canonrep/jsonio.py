@@ -11,9 +11,12 @@ tree too, and its document is one, except that each branch spells its
 cell as "interval": ["p/q", "p/q"] instead of "prob"; its reader also
 checks that the intervals tile [0,1), that the values ascend strictly and
 that a branch has a child exactly when it is above the last level.  All
-tree documents share one writer and one reader.  Transport documents
-hold, per step and per history section, the list of
-[[src_lo, src_hi], [tgt_lo, tgt_hi]] pairs.
+tree documents share one writer, which builds one dict per distinct node,
+and one reader, which parses each distinct rational string once per
+document.  Transport documents hold, per step and per history section,
+the list of [[src_lo, src_hi], [tgt_lo, tgt_hi]] pairs, one list per
+distinct node.  ``dump_json`` writes every document, streamed, with the
+bytes of ``json.dump(doc, fh, sort_keys=True, indent=2)`` plus "\n".
 Rationals are serialized as exact strings; floats appear only in the
 bench / embedding reports, always next to their seed and sample count.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Union
 
@@ -31,10 +35,6 @@ from .representation import CellRepresentation, cell_bounds
 from .transport import TransportMap
 
 FORMAT_VERSION = 1
-
-
-def frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def parse_frac(x) -> Fraction:
@@ -48,16 +48,10 @@ def parse_frac(x) -> Fraction:
     raise FormatError(f"cannot parse rational from {x!r}")
 
 
-def parse_value(xs) -> Value:
+def parse_value(xs, frac) -> Value:
     if not isinstance(xs, list) or not xs:
         raise FormatError(f"value must be a nonempty list, got {xs!r}")
-    return tuple(parse_frac(x) for x in xs)
-
-
-def _check_version(doc: dict, expected: int = FORMAT_VERSION) -> None:
-    version = doc.get("format_version", FORMAT_VERSION)
-    if version != expected:
-        raise FormatError(f"unsupported format_version {version!r}")
+    return tuple(map(frac, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +59,18 @@ def _check_version(doc: dict, expected: int = FORMAT_VERSION) -> None:
 
 def _tree_to_json(p: FiniteProcess, key: str, spell) -> dict:
     """The document of a process tree, each branch's weight written under
-    ``key`` as ``spell(node)`` lists it."""
+    ``key`` as ``spell(node)`` lists it; a node shared in ``p`` gets one
+    dict, shared in the document."""
+    memo: dict[int, dict] = {}
 
     def node_json(node: Node) -> dict:
-        return {
-            "branches": [
-                {
-                    "value": [frac_str(c) for c in br.value],
-                    key: weight,
-                    "child": node_json(br.child) if br.child is not None else None,
-                }
+        if id(node) not in memo:
+            memo[id(node)] = {"branches": [
+                {"value": list(map(str, br.value)), key: weight,
+                 "child": node_json(br.child) if br.child is not None else None}
                 for br, weight in zip(node.branches, spell(node))
-            ]
-        }
+            ]}
+        return memo[id(node)]
 
     return {
         "format_version": FORMAT_VERSION,
@@ -88,14 +81,16 @@ def _tree_to_json(p: FiniteProcess, key: str, spell) -> dict:
 
 
 def _intervals(node: Node) -> list:
-    ends = [frac_str(c) for c in cell_bounds(node)]
+    ends = list(map(str, cell_bounds(node)))
     return [[lo, hi] for lo, hi in zip(ends, ends[1:])]
 
 
 def _tree_header(doc, kind: str) -> tuple[int, int, object]:
     if not isinstance(doc, dict):
         raise FormatError(f"{kind} document must be an object")
-    _check_version(doc)
+    version = doc.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r}")
     try:
         return int(doc["dimension"]), int(doc["depth"]), doc["root"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -104,20 +99,29 @@ def _tree_header(doc, kind: str) -> tuple[int, int, object]:
 
 def _tree_from_json(root_doc, dimension: int, depth: int, read_branches) -> Node:
     """The tree of a document.  ``read_branches(node_doc, level, depth,
-    dimension)`` yields a node's (value, prob, child document) triples,
-    checked, one at a time: each child is read before the next branch.
-    Equal subtrees share one Node; children are interned first, so their
-    ids are stable."""
+    dimension, frac)`` yields a node's (value, prob, child document)
+    triples, checked, one at a time: each child is read before the next
+    branch.  ``frac`` parses each distinct string of the document once, and
+    anything else (numbers, ``True``) every time.  Equal subtrees share one
+    Node; children are interned first, so their ids are stable."""
     interned: dict[tuple, Node] = {}
+    parsed: dict[str, Fraction] = {}
+
+    def frac(x) -> Fraction:
+        if not isinstance(x, str):
+            return parse_frac(x)
+        if x not in parsed:
+            parsed[x] = parse_frac(x)
+        return parsed[x]
 
     def node_from(nd, level: int) -> Node:
-        out = [
-            Branch(value, prob, node_from(child_doc, level + 1)
-                   if child_doc is not None else None)
-            for value, prob, child_doc in read_branches(nd, level, depth, dimension)
-        ]
-        key = tuple((br.value, br.prob, id(br.child)) for br in out)
-        return interned.setdefault(key, Node(tuple(out)))
+        out = [(value, prob, node_from(child_doc, level + 1) if child_doc is not None else None)
+               for value, prob, child_doc in read_branches(nd, level, depth, dimension, frac)]
+        key = tuple((value, prob, id(child)) for value, prob, child in out)
+        node = interned.get(key)
+        if node is None:  # a repeated subtree builds no Branch
+            node = interned[key] = Node(tuple(Branch(*br) for br in out))
+        return node
 
     return node_from(root_doc, 1)
 
@@ -130,7 +134,7 @@ def _check_dimension(value: Value, br: dict, dimension: int) -> None:
         )
 
 
-def _prob_branches(nd, level: int, depth: int, dimension: int):
+def _prob_branches(nd, level: int, depth: int, dimension: int, frac):
     if not isinstance(nd, dict) or "branches" not in nd:
         raise FormatError(f"malformed node: {nd!r}")
     branches = nd["branches"]
@@ -140,14 +144,14 @@ def _prob_branches(nd, level: int, depth: int, dimension: int):
         if not isinstance(br, dict):
             raise FormatError(f"malformed branch: {br!r}")
         try:
-            value, prob = parse_value(br["value"]), parse_frac(br["prob"])
+            value, prob = parse_value(br["value"], frac), frac(br["prob"])
         except KeyError as exc:
             raise FormatError(f"branch missing key {exc}") from exc
         _check_dimension(value, br, dimension)
         yield value, prob, br.get("child")
 
 
-def _interval_branches(nd, level: int, depth: int, dimension: int):
+def _interval_branches(nd, level: int, depth: int, dimension: int, frac):
     """A representation node's cells: the intervals tile [0,1), values
     ascend strictly, and cells carry children exactly above the last level
     (the root is level 1)."""
@@ -158,9 +162,9 @@ def _interval_branches(nd, level: int, depth: int, dimension: int):
     values = []
     for br in branches:
         try:
-            lo = parse_frac(br["interval"][0])
-            hi = parse_frac(br["interval"][1])
-            value = parse_value(br["value"])
+            lo = frac(br["interval"][0])
+            hi = frac(br["interval"][1])
+            value = parse_value(br["value"], frac)
             child_doc = br.get("child")
         except (KeyError, IndexError, TypeError) as exc:
             raise FormatError(f"malformed representation branch: {exc}") from exc
@@ -186,7 +190,7 @@ def _interval_branches(nd, level: int, depth: int, dimension: int):
 
 
 def process_to_json(p: FiniteProcess) -> dict:
-    return _tree_to_json(p, "prob", lambda node: [frac_str(br.prob) for br in node.branches])
+    return _tree_to_json(p, "prob", lambda node: [str(br.prob) for br in node.branches])
 
 
 def process_from_json(doc: dict) -> FiniteProcess:
@@ -226,26 +230,17 @@ def representation_from_json(doc: dict) -> CellRepresentation:
 # transport format
 
 def transport_to_json(maps: list[TransportMap], dimension: int) -> dict:
+    # sections that reach one node share its ``pairs`` tuple, so they share its list
+    distinct = {id(s.pairs): s.pairs for tm in maps for s in tm.sections}
+    spelled = {key: [[[str(p.source.lo), str(p.source.hi)], [str(p.target.lo), str(p.target.hi)]]
+                     for p in pairs] for key, pairs in distinct.items()}
     return {
         "format_version": FORMAT_VERSION,
         "dimension": dimension,
         "steps": [
-            {
-                "step": tm.step,
-                "sections": [
-                    {
-                        "history": [[frac_str(c) for c in v] for v in s.history],
-                        "pairs": [
-                            [
-                                [frac_str(p.source.lo), frac_str(p.source.hi)],
-                                [frac_str(p.target.lo), frac_str(p.target.hi)],
-                            ]
-                            for p in s.pairs
-                        ],
-                    }
-                    for s in tm.sections
-                ],
-            }
+            {"step": tm.step, "sections": [
+                {"history": [list(map(str, v)) for v in s.history], "pairs": spelled[id(s.pairs)]}
+                for s in tm.sections]}
             for tm in maps
         ],
     }
@@ -262,7 +257,40 @@ def load_json(path: Union[str, Path]) -> dict:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_json(o, level: int, write) -> None:
+    """Write the container ``o`` at indent ``level`` in the chunks that
+    ``json.dump(sort_keys=True, indent=2)`` writes, one call per chunk
+    instead of one generator per nesting level."""
+    if not o:
+        write("{}" if isinstance(o, dict) else "[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    is_dict = isinstance(o, dict)
+    sep = ("{" if is_dict else "[") + inner
+    for k, v in sorted(o.items()) if is_dict else enumerate(o):
+        head = sep
+        if is_dict:  # json.dumps spells any other key, or refuses it, as json.dump does
+            head += (encode_basestring_ascii(k) if isinstance(k, str)
+                     else json.dumps({k: 0})[1:-4]) + ": "
+        if isinstance(v, str):
+            write(head + encode_basestring_ascii(v))
+        elif isinstance(v, (dict, list, tuple)):
+            write(head)
+            _write_json(v, level + 1, write)
+        else:  # json.dumps spells numbers, booleans and None as json.dump does
+            write(head + ("null" if v is None else json.dumps(v)))
+        sep = "," + inner
+    write("\n" + "  " * level + ("}" if is_dict else "]"))
+
+
 def dump_json(doc, path: Union[str, Path]) -> None:
+    """Write ``doc`` with the bytes of ``json.dump(doc, fh, sort_keys=True,
+    indent=2)`` plus a final newline.  The text streams to the file as it
+    is made, so memory stays that of the nesting depth; a container shared
+    in ``doc`` is written at each place it occurs."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        if isinstance(doc, (dict, list, tuple)):
+            _write_json(doc, 0, fh.write)
+        else:
+            fh.write(json.dumps(doc))
         fh.write("\n")

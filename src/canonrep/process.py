@@ -183,25 +183,42 @@ def joint_law(p: FiniteProcess, part: slice = slice(None)) -> PathLaw:
     over tree paths carrying it of the product of branch probs.  The law
     below each distinct node is built once, so a tree that shares nodes
     (``pair_law`` shares one child across the k copy branches of a cell)
-    costs per distinct node, not per path of the pair.
+    costs per distinct node, not per path of the pair.  Paths are hashed
+    only where a node's heads repeat with distinct children, and at the end.
     """
-    memo: dict[int, PathLaw] = {}
+    # the law below each node: a dict where paths merged, else (paths, probs)
+    memo: dict[int, PathLaw | tuple[list[ValuePath], list[Fraction]]] = {}
 
-    def law(node: Node) -> PathLaw:
+    def law(node: Node) -> PathLaw | tuple[list[ValuePath], list[Fraction]]:
         out = memo.get(id(node))
         if out is None:
-            out = memo[id(node)] = {}
+            steps: dict[tuple, list] = {}  # (head, child id) -> [head, child, prob]
             for br in node.branches:
-                head = (br.value[part],)
-                if br.child is None:
-                    out[head] = out.get(head, ZERO) + br.prob
+                key = ((br.value[part],), id(br.child))
+                if key in steps:
+                    steps[key][2] += br.prob
+                else:
+                    steps[key] = [key[0], br.child, br.prob]
+            paths, probs = [], []
+            for head, child, prob in steps.values():
+                if child is None:
+                    paths.append(head)
+                    probs.append(prob)
                     continue
-                for tail, q in law(br.child).items():
-                    path = head + tail
-                    out[path] = out.get(path, ZERO) + br.prob * q
+                below = law(child)
+                tails, qs = (below.keys(), below.values()) if isinstance(below, dict) else below
+                paths += [head + tail for tail in tails]
+                probs += [prob * q for q in qs]
+            out = (paths, probs)
+            if len({head for head, _, _ in steps.values()}) < len(steps):
+                out = {}
+                for path, q in zip(paths, probs):
+                    out[path] = out.get(path, ZERO) + q
+            memo[id(node)] = out
         return out
 
-    return law(p.root)
+    out = law(p.root)
+    return out if isinstance(out, dict) else dict(zip(*out))
 
 
 def _prefix_class(p: FiniteProcess, prefix: ValuePath):

@@ -169,15 +169,17 @@ def independent_coupling(
     if a.depth != b.depth:
         raise RaggedDepth(f"depths differ: {a.depth} vs {b.depth}")
 
+    built: dict[tuple[int, int], Node] = {}  # one node per distinct pair of nodes
+
     def build(na: Node, nb: Node) -> Node:
-        branches = []
-        for ca in na.branches:
-            for cb in nb.branches:
-                child = (
-                    build(ca.child, cb.child) if ca.child is not None else None
-                )
-                branches.append(Branch(ca.value + cb.value, ca.prob * cb.prob, child))
-        return Node(tuple(branches))
+        key = (id(na), id(nb))
+        if key not in built:
+            built[key] = Node(tuple(
+                Branch(ca.value + cb.value, ca.prob * cb.prob,
+                       build(ca.child, cb.child) if ca.child is not None else None)
+                for ca in na.branches for cb in nb.branches
+            ))
+        return built[key]
 
     process = FiniteProcess(2 * a.dimension, a.depth, build(a.root, b.root))
     return PairProcess(process, a.dimension)

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
@@ -193,6 +194,31 @@ def test_transport_non_tangent_pair_fails(runner, tmp_path):
          str(tmp_path / "t.json")],
     )
     assert res.exit_code == 1
+
+
+def test_transport_size_guard_counts_sections_before_building(runner, tmp_path, monkeypatch):
+    """Two fair coins at each of 10 steps couple into (4^10 - 1) / 3 sections,
+    over the cap: refused with exit 1 before any section is built."""
+    from canonrep import Branch, FiniteProcess, Node
+    from canonrep.cli import MAX_SECTIONS
+    from canonrep.jsonio import dump_json, representation_to_json
+    from canonrep.representation import CellRepresentation
+
+    node = None
+    for _ in range(10):
+        node = Node(tuple(Branch((F(v),), F(1, 2), node) for v in (-1, 1)))
+    coin = CellRepresentation(1, 10, node)
+    r_path, t_path = tmp_path / "r.json", tmp_path / "t.json"
+    dump_json(representation_to_json(coin), r_path)
+    monkeypatch.setattr("canonrep.cli.build_transport", None)  # never reached
+    res = runner.invoke(
+        main, ["transport", "--in", str(r_path), "--in2", str(r_path), "--out", str(t_path)])
+    assert res.exit_code == 1, res.output
+    sections = (4**10 - 1) // 3
+    assert sections > MAX_SECTIONS
+    assert (f"SizeGuard: the transport would hold {sections} sections, "
+            f"more than {MAX_SECTIONS}") in res.output
+    assert not t_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
+import gc
 import json
+import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from canonrep import (
     FiniteProcess,
     FormatError,
+    build_transport,
     canonical_representation,
     construct_ci_copy,
+    independent_coupling,
     joint_law,
     law_of_representation,
     pair_law,
+    random_independent_process,
     random_process,
     represent_mds,
     validate_process,
@@ -26,6 +33,7 @@ from canonrep.jsonio import (
     process_to_json,
     representation_from_json,
     representation_to_json,
+    transport_to_json,
 )
 
 from conftest import unshared
@@ -240,3 +248,162 @@ def test_representation_bytes_ignore_sharing(depth):
     got = representation_to_json(canonical_representation(shared))
     want = representation_to_json(canonical_representation(flat))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# writer: the bytes of json.dump(sort_keys=True, indent=2), streamed
+
+def _json_dump(doc, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _assert_same_bytes(doc, tmp_path):
+    dump_json(doc, tmp_path / "got.json")
+    _json_dump(doc, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+_STRINGS = ["", "a", "1/2", "-3/7", 'quote " and \\ backslash', "tab\tnew\nline\r\x00\x1f",
+            "café", "  ", "\U0001f600 emoji", "\ud800 lone surrogate"]
+_SCALARS = _STRINGS + [0, -1, 2**70, -(2**64) - 1, True, False, None, 0.0, -0.0, 0.1,
+                       1e300, -1e-300, 5e-324, float("nan"), float("inf"), float("-inf"),
+                       np.float64(2.5), np.float64("nan")]
+
+
+def _random_doc(rng, depth, pool):
+    """Nested dicts, lists and tuples.  One container draw in five reuses a
+    container from ``pool``, which holds every one built so far, at any
+    depth, so the document shares sub-dicts and sub-lists across depths."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_SCALARS)
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    kind = rng.choice((dict, list, tuple))
+    width = rng.choice((0, 1, 2, 3, 5))
+    if kind is dict:
+        out = {rng.choice(_STRINGS) + str(i): _random_doc(rng, depth - 1, pool)
+               for i in range(width)}
+    else:
+        out = kind(_random_doc(rng, depth - 1, pool) for _ in range(width))
+    pool.append(out)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dump_json_matches_json_dump_on_random_documents(seed, tmp_path):
+    rng = random.Random(seed)
+    pool = []
+    doc = _random_doc(rng, rng.randint(0, 7), pool)
+    _assert_same_bytes(doc, tmp_path)
+    _assert_same_bytes({"shared": pool, "again": pool[::-1], "doc": doc}, tmp_path)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "x", 3, None, True, -0.0, float("nan"),
+    {"empty": [{}, [], ()], "nested": {"a": {}, "b": [[]]}},
+    {2: "int keys sort as numbers", 10: "b", -1: "c"},
+    {True: "bool keys", False: "b"}, {None: "null key"}, {1.5: "float keys", -0.0: "b"},
+], ids=repr)
+def test_dump_json_matches_json_dump_on_edge_cases(doc, tmp_path):
+    _assert_same_bytes(doc, tmp_path)
+
+
+def test_dump_json_refuses_what_json_dump_refuses(tmp_path):
+    for doc in ({"x": {1, 2}}, [np.int64(1)], {(1, 2): "tuple key"}):
+        with pytest.raises(TypeError):
+            _json_dump(doc, tmp_path / "want.json")
+        with pytest.raises(TypeError):
+            dump_json(doc, tmp_path / "got.json")
+
+
+def _tree_documents(depth, seed):
+    p = random_process(depth, 4, 1, seed=seed, mds=True)
+    rep = canonical_representation(p)
+    pq = pair_law(construct_ci_copy(rep))
+    steps = canonical_representation(random_independent_process(depth, 4, 1, seed=seed))
+    return {
+        "process": process_to_json(p),
+        "representation": representation_to_json(rep),
+        "pair": pair_process_to_json(pq),
+        "transport": transport_to_json(build_transport(pq), pq.process.dimension),
+        "coupling": transport_to_json(build_transport(independent_coupling(steps, steps)),
+                                      2 * steps.dimension),
+    }
+
+
+@pytest.mark.parametrize("depth, seed", [(4, 0), (4, 6), (5, 2), (5, 31)])
+def test_dump_json_matches_json_dump_on_tree_documents(depth, seed, tmp_path):
+    for doc in _tree_documents(depth, seed).values():
+        _assert_same_bytes(doc, tmp_path)
+
+
+def _traced_peak(write, doc, path) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write(doc, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_json_memory_stays_near_json_dump(tmp_path):
+    """Streaming keeps the writer's peak at that of json.dump, which holds
+    only the open containers; text kept per shared node would not."""
+    rep = canonical_representation(random_process(5, 4, 1, seed=31, mds=True))
+    doc = pair_process_to_json(pair_law(construct_ci_copy(rep)))
+    _json_dump(doc, tmp_path / "want.json")
+    assert (tmp_path / "want.json").stat().st_size >= 400_000
+    want = _traced_peak(_json_dump, doc, tmp_path / "want.json")
+    got = _traced_peak(dump_json, doc, tmp_path / "got.json")
+    assert got <= 1.5 * want, (got, want)
+
+
+# ---------------------------------------------------------------------------
+# reader: each distinct rational string parsed once per document
+
+def _coin_doc(up, down):
+    leaf = {"branches": [{"value": ["1"], "prob": up, "child": None},
+                         {"value": ["-1"], "prob": down, "child": None}]}
+    return {"format_version": 1, "dimension": 1, "depth": 2, "root": {"branches": [
+        {"value": ["1"], "prob": "1/2", "child": leaf},
+        {"value": ["-1"], "prob": "1/2", "child": leaf},
+    ]}}
+
+
+def test_repeated_strings_parse_to_equal_fractions():
+    p = process_from_json(_coin_doc("1/2", "1/2"))
+    branches = list(p.root.branches) + list(p.root.branches[0].child.branches)
+    assert [br.prob for br in branches] == [F(1, 2)] * 4
+    assert [br.value for br in branches] == [(F(1),), (F(-1),)] * 2
+    assert joint_law(p) == {(v, w): F(1, 4) for v in ((F(1),), (F(-1),))
+                            for w in ((F(1),), (F(-1),))}
+
+
+def test_cache_serves_only_strings():
+    # True equals 1 and hashes like it, yet is refused after 1 was read
+    doc = _coin_doc("1/2", "1/2")
+    doc["root"]["branches"][0]["value"] = [1]
+    doc["root"]["branches"][1]["prob"] = True
+    with pytest.raises(FormatError, match="^cannot parse rational from True: booleans"):
+        process_from_json(doc)
+    # numbers are read each time, and read alike
+    p = process_from_json(_coin_doc(0.5, 0.5))
+    assert [br.prob for br in p.root.branches[0].child.branches] == [F(1, 2)] * 2
+
+
+@pytest.mark.parametrize("bad", ["x/y", "1/0", "1/2/3"])
+def test_malformed_string_raises_the_same_message_every_time(bad):
+    with pytest.raises(FormatError) as direct:
+        parse_frac(bad)
+    for doc in (_coin_doc("1/2", bad), _coin_doc(bad, bad), _coin_doc("1/2", bad)):
+        with pytest.raises(FormatError) as cached:
+            process_from_json(doc)
+        assert str(cached.value) == str(direct.value)
+    interval_doc = _doc(_cells(("0", bad, "1", None), (bad, "1", "2", None)))
+    for _ in range(2):
+        with pytest.raises(FormatError) as cached:
+            representation_from_json(interval_doc)
+        assert str(cached.value) == str(direct.value)
