@@ -79,8 +79,6 @@ from .bench import (
     sign_transform,
 )
 from .harmonic import (
-    Arc,
-    ArcFunction,
     arc_function,
     harmonic_extension,
     harmonic_measure,

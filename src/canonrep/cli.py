@@ -429,9 +429,9 @@ def increment_chi_square(rep, increments: np.ndarray):
     return chi_square_gof(counts, np.array(probs))
 
 
-def trajectories_svg(times: np.ndarray, series: np.ndarray,
-                     width: int = 640, height: int = 360) -> str:
-    """Hand-rolled static SVG: time against the first coordinate."""
+def trajectories_svg(times: np.ndarray, series: np.ndarray) -> str:
+    """Hand-rolled static SVG, 640 by 360: time against the first coordinate."""
+    width, height = 640, 360
     t0, t1 = float(times.min()), float(times.max())
     lo = float(series.min())
     hi = float(series.max())

@@ -4,7 +4,9 @@ A representation node becomes boundary data on the circle by the angle
 change theta = 2*pi*x: each cell turns into an arc carrying the cell's
 value.  The harmonic extension of that data at an interior point is the
 expectation of the boundary value at the Brownian exit point, so an
-arc's harmonic measure is the exit probability through it.
+arc's harmonic measure is the exit probability through it.  A ``DiskNode``
+is a node compiled to floats: the tree walk searches its cell ends, and
+the harmonic extension reads its cells as arcs.
 
 The measure of an arc seen from z is computed conformally: the Mobius
 map w -> (w - z) / (1 - conj(z) w) sends z to the origin and the arc to
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,71 +32,44 @@ TAU = 2.0 * math.pi
 DEFAULT_BOUNDARY_EPS = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class Arc:
-    """Arc [lo, hi) of the circle, angles in radians, carrying a value."""
-
-    lo: float
-    hi: float
-    value: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ArcFunction:
-    """Piecewise-constant boundary data tiling [0, 2*pi)."""
-
-    arcs: tuple[Arc, ...]
-    dimension: int
-
-    def value_at(self, theta: float) -> np.ndarray:
-        theta = theta % TAU
-        for arc in self.arcs:
-            if arc.lo <= theta < arc.hi:
-                return arc.value
-        return self.arcs[-1].value  # theta in the closing rounding gap
-
-
-def _node_arcs(node: Node, ends: tuple, dimension: int) -> ArcFunction:
-    """Boundary data of a node whose cell ends are ``ends``."""
-    return ArcFunction(
-        tuple(
-            Arc(TAU * float(lo), TAU * float(hi), np.array([float(c) for c in br.value]))
-            for br, lo, hi in zip(node.branches, ends, ends[1:])
-        ),
-        dimension,
-    )
-
-
-def arc_function(rep: CellRepresentation, prefix: ValuePath) -> ArcFunction:
-    """Boundary data of the node reached by a realizable value prefix."""
-    node = locate_node(rep, prefix)
-    return _node_arcs(node, cell_bounds(node), rep.dimension)
-
-
 class DiskNode:
-    """A representation node compiled to floats for fast walking.
+    """A representation node compiled to floats, which is its boundary data.
 
-    ``bounds`` are the interior cell boundaries (search them with
-    ``side="right"`` for the half-open cells), ``values`` holds one row
-    per cell, ``arcs`` is the node's boundary data on the circle and
-    ``children`` the compiled sub-partitions (None at the last level).
+    ``bounds`` are the interior cell ends (search them with ``side="right"``
+    for the half-open cells), ``angles`` all cell ends times 2*pi (cell i
+    is the arc from ``angles[i]`` to ``angles[i + 1]``), ``values`` holds
+    one row per cell and ``children`` the compiled sub-partitions (None at
+    the last level).
     """
 
-    __slots__ = ("bounds", "values", "arcs", "children")
+    __slots__ = ("bounds", "angles", "values", "children")
 
-    def __init__(self, node: Node, dimension: int):
+    def __init__(self, node: Node, children: list[Optional[DiskNode]]):
         ends = cell_bounds(node)
         self.bounds = np.array([float(c) for c in ends[1:-1]])
+        self.angles = tuple(TAU * float(c) for c in ends)
         self.values = np.array([[float(c) for c in br.value] for br in node.branches])
-        self.arcs = _node_arcs(node, ends, dimension)
-        self.children = [
-            DiskNode(br.child, dimension) if br.child is not None else None
+        self.children = children
+
+
+def _compile(node: Node, compiled: dict[int, DiskNode]) -> DiskNode:
+    disk = compiled.get(id(node))
+    if disk is None:
+        disk = compiled[id(node)] = DiskNode(node, [
+            _compile(br.child, compiled) if br.child is not None else None
             for br in node.branches
-        ]
+        ])
+    return disk
 
 
 def compile_disk(rep: CellRepresentation) -> DiskNode:
-    return DiskNode(rep.root, rep.dimension)
+    """The representation compiled to floats, one DiskNode per distinct node."""
+    return _compile(rep.root, {})
+
+
+def arc_function(rep: CellRepresentation, prefix: ValuePath) -> DiskNode:
+    """Boundary data of the node reached by a realizable value prefix."""
+    return _compile(locate_node(rep, prefix), {})
 
 
 def walk_uniforms(
@@ -149,14 +123,10 @@ def _boundary_angle(z: complex, theta: float) -> float:
 def harmonic_measure(z, arc, boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> float:
     """Probability that Brownian motion from z exits through the arc.
 
-    ``arc`` is an Arc or an (angle_lo, angle_hi) pair with
-    0 <= hi - lo <= 2*pi.  From the center the result is exactly the arc
-    length over 2*pi.
+    ``arc`` is an (angle_lo, angle_hi) pair with 0 <= hi - lo <= 2*pi.
+    From the center the result is exactly the arc length over 2*pi.
     """
-    if isinstance(arc, Arc):
-        lo, hi = arc.lo, arc.hi
-    else:
-        lo, hi = arc
+    lo, hi = arc
     if hi < lo:
         raise ValueError(f"arc has hi {hi} < lo {lo}")
     span = hi - lo
@@ -175,12 +145,12 @@ def harmonic_measure(z, arc, boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> floa
 
 
 def harmonic_extension(
-    af: ArcFunction, z, boundary_eps: float = DEFAULT_BOUNDARY_EPS
+    node: DiskNode, z, boundary_eps: float = DEFAULT_BOUNDARY_EPS
 ) -> np.ndarray:
-    """Harmonic extension of the boundary data at an interior point."""
-    out = np.zeros(af.dimension)
-    for arc in af.arcs:
-        out += arc.value * harmonic_measure(z, arc, boundary_eps)
+    """Harmonic extension of a node's boundary data at an interior point."""
+    out = np.zeros(node.values.shape[1])
+    for lo, hi, value in zip(node.angles, node.angles[1:], node.values):
+        out += value * harmonic_measure(z, (lo, hi), boundary_eps)
     return out
 
 

@@ -143,17 +143,22 @@ def pair_law(d: DecoupledRepresentation) -> PairProcess:
     The tree is adapted to the pair filtration: at each node the branch
     over (direct value, copy value) has probability length(x cell) times
     length(y cell), and the child continues along the x cell (the copy's
-    history is driven by the direct coordinates).
+    history is driven by the direct coordinates).  Each distinct base node
+    gives one pair node, so the pair tree shares what the base shares.
     """
     dim = d.base.dimension
+    built: dict[int, Node] = {}
 
     def build(node: Node) -> Node:
-        branches = []
-        for x in node.branches:
-            child = build(x.child) if x.child is not None else None
-            for y in node.branches:
-                branches.append(Branch(x.value + y.value, x.prob * y.prob, child))
-        return Node(tuple(branches))
+        pair = built.get(id(node))
+        if pair is None:
+            branches = []
+            for x in node.branches:
+                child = build(x.child) if x.child is not None else None
+                for y in node.branches:
+                    branches.append(Branch(x.value + y.value, x.prob * y.prob, child))
+            pair = built[id(node)] = Node(tuple(branches))
+        return pair
 
     process = FiniteProcess(2 * dim, d.base.depth, build(d.base.root))
     return PairProcess(process, dim)

@@ -55,14 +55,12 @@ class ChiSquareResult:
         return self.dof == 0 and self.pooled > 1
 
 
-def chi_square_gof(
-    observed: np.ndarray, probs: np.ndarray, min_expected: float = 5.0
-) -> ChiSquareResult:
+def chi_square_gof(observed: np.ndarray, probs: np.ndarray) -> ChiSquareResult:
     """Goodness-of-fit test of observed counts against exact category probs.
 
-    Categories whose expected count falls below ``min_expected`` are pooled
-    into a single bucket before computing the statistic, the standard fix
-    for sparse cells.
+    Categories whose expected count falls below 5 are pooled into a single
+    bucket before computing the statistic, the standard fix for sparse
+    cells.
     """
     observed = np.asarray(observed, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -72,7 +70,7 @@ def chi_square_gof(
         raise ValueError("observed and probs must be finite")
     total = observed.sum()
     expected = probs * total
-    keep = expected >= min_expected
+    keep = expected >= 5.0
     pooled = int((~keep).sum())
     if pooled:
         obs = np.append(observed[keep], observed[~keep].sum())

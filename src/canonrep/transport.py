@@ -198,10 +198,16 @@ def verify_measure_preserving(t: TransportMap | SectionTransport) -> CheckResult
     intersected with the targets, and its measure is that of B.  (Equal
     lengths make the targets sum to 1, so gap-free targets from 0 end at
     1.)  Each section is checked in integers on its lcm grid
-    (``_lcm_grid``); witnesses report Fractions.
+    (``_lcm_grid``); witnesses report Fractions.  The verdict depends on
+    the pieces alone, so a ``pairs`` tuple already accepted
+    (``build_transport`` shares one per node) is not checked again.
     """
     sections = t.sections if isinstance(t, TransportMap) else (t,)
+    checked: set[int] = set()
     for s in sections:
+        if id(s.pairs) in checked:
+            continue
+        checked.add(id(s.pairs))
         res = _verify_section(s)
         if not res.ok:
             return res

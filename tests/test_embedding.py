@@ -50,8 +50,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BrownianConfig(dt_base=0.0)
     with pytest.raises(ValueError):
-        BrownianConfig(boundary_eps=0.5)
-    with pytest.raises(ValueError):
         BrownianConfig(scheme="exact")
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):

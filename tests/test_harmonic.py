@@ -16,9 +16,10 @@ from canonrep import (
     represent_mds,
     sample_exit,
 )
-from canonrep.harmonic import TAU, exit_angle
+from canonrep.harmonic import TAU, DiskNode, exit_angle
 from canonrep.rng import path_stream
 from canonrep.stats import chi_square_gof
+from conftest import leaf, v1
 
 
 
@@ -48,30 +49,23 @@ def poisson_quadrature(z: complex, lo: float, hi: float) -> float:
 # arc functions
 
 def test_arc_function_fair_coin(fair_coin):
-    af = arc_function(represent_mds(fair_coin), ())
-    assert len(af.arcs) == 2
-    assert af.arcs[0].lo == 0.0
-    assert af.arcs[0].hi == pytest.approx(math.pi)
-    assert af.arcs[0].value[0] == -1.0
-    assert af.arcs[1].hi == pytest.approx(TAU)
+    node = arc_function(represent_mds(fair_coin), ())
+    assert len(node.values) == 2
+    assert node.angles[0] == 0.0
+    assert node.angles[1] == pytest.approx(math.pi)
+    assert node.values[0][0] == -1.0
+    assert node.angles[2] == pytest.approx(TAU)
 
 
 def test_arc_function_skew(skew_mds):
-    af = arc_function(represent_mds(skew_mds), ())
-    assert af.arcs[0].value[0] == -2.0
-    assert af.arcs[0].hi == pytest.approx(TAU / 3)
+    node = arc_function(represent_mds(skew_mds), ())
+    assert node.values[0][0] == -2.0
+    assert node.angles[1] == pytest.approx(TAU / 3)
 
 
 def test_arc_function_unreachable(fair_coin):
     with pytest.raises(UnreachablePrefix):
         arc_function(represent_mds(fair_coin), ((F(5),),))
-
-
-def test_arc_value_lookup(fair_coin):
-    af = arc_function(represent_mds(fair_coin), ())
-    assert af.value_at(1.0)[0] == -1.0
-    assert af.value_at(4.0)[0] == 1.0
-    assert af.value_at(4.0 + TAU)[0] == 1.0  # angles wrap
 
 
 def test_arc_mean_zero_over_circle():
@@ -81,8 +75,9 @@ def test_arc_mean_zero_over_circle():
     for _ in range(5):
         p = random_process(2, 4, 2, seed=rng.randrange(10**9), mds=True)
         rep = represent_mds(p)
-        af = arc_function(rep, ())
-        mean = sum(((a.hi - a.lo) / TAU) * a.value for a in af.arcs)
+        node = arc_function(rep, ())
+        mean = sum(((hi - lo) / TAU) * value
+                   for lo, hi, value in zip(node.angles, node.angles[1:], node.values))
         assert np.max(np.abs(mean)) < 1e-12
 
 
@@ -137,32 +132,26 @@ def test_measure_boundary_guard():
 # harmonic extension
 
 def test_extension_zero_at_center_for_mds(skew_mds):
-    af = arc_function(represent_mds(skew_mds), ())
-    assert abs(harmonic_extension(af, 0)[0]) < 1e-12
+    node = arc_function(represent_mds(skew_mds), ())
+    assert abs(harmonic_extension(node, 0)[0]) < 1e-12
 
 
 def test_extension_constant_boundary():
-    from canonrep.harmonic import Arc, ArcFunction
-
-    af = ArcFunction(
-        (
-            Arc(0.0, 2.0, np.array([3.5])),
-            Arc(2.0, TAU, np.array([3.5])),
-        ),
-        1,
-    )
+    # two arcs, [0, 2*pi/3) and [2*pi/3, 2*pi), both carrying 3.5
+    node = DiskNode(leaf((v1(F(7, 2)), F(1, 3)), (v1(F(7, 2)), F(2, 3))), [None, None])
+    assert node.angles == pytest.approx((0.0, TAU / 3, TAU))
     rng = Random(8)
     for _ in range(20):
         z = 0.9 * rng.random() * cmath.exp(1j * TAU * rng.random())
-        assert harmonic_extension(af, z)[0] == pytest.approx(3.5, abs=1e-12)
+        assert harmonic_extension(node, z)[0] == pytest.approx(3.5, abs=1e-12)
 
 
 def test_extension_fair_coin_combination(fair_coin):
-    af = arc_function(represent_mds(fair_coin), ())
+    node = arc_function(represent_mds(fair_coin), ())
     z = 0.5
     omega_low = poisson_quadrature(0.5 + 0j, 0.0, math.pi)
     expect = -1.0 * omega_low + 1.0 * (1 - omega_low)
-    assert harmonic_extension(af, z)[0] == pytest.approx(expect, abs=1e-10)
+    assert harmonic_extension(node, z)[0] == pytest.approx(expect, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from canonrep import (
     law_of_representation,
     pair_from_identical,
     pair_law,
+    random_dyadic_mds,
     random_independent_process,
     random_process,
     random_tangent_pair,
@@ -23,11 +24,12 @@ from canonrep import (
     satisfies_ci,
     verify_zero_sections,
 )
+from canonrep.jsonio import representation_from_json, representation_to_json
 from canonrep.martingale import component_conditional_means
 from canonrep.process import _map_values
 from canonrep.representation import CellRepresentation
 
-from conftest import cells, leaf, v1
+from conftest import cells, leaf, unshared, v1
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,33 @@ def test_pair_law_tangent_and_ci_random():
         pq = pair_law(construct_ci_copy(canonical_representation(p)))
         assert are_tangent(pq).ok
         assert satisfies_ci(pq, 1).ok
+
+
+def test_pair_law_has_one_pair_node_per_distinct_base_node():
+    shared_somewhere = False
+    for seed in range(6):
+        # read back through JSON, which interns equal subtrees
+        r = representation_from_json(representation_to_json(
+            canonical_representation(random_dyadic_mds(3, 2, 1, seed=seed))))
+        pair_of: dict[int, Node] = {}  # id of each base node -> its pair node
+        prefixes = 0
+        stack = [(r.root, pair_law(construct_ci_copy(r)).process.root)]
+        while stack:
+            node, pair_node = stack.pop()
+            prefixes += 1
+            assert pair_of.setdefault(id(node), pair_node) is pair_node
+            k = len(node.branches)
+            for i, br in enumerate(node.branches):
+                # pair branch i * k pairs x cell i with y cell 0 and follows x cell i
+                if br.child is not None:
+                    stack.append((br.child, pair_node.branches[i * k].child))
+        assert len({id(n) for n in pair_of.values()}) == len(pair_of)
+        shared_somewhere |= len(pair_of) < prefixes
+        # the law is that of the same pair tree with nothing shared
+        expanded = CellRepresentation(r.dimension, r.depth, unshared(r.root))
+        assert joint_law(pair_law(construct_ci_copy(r)).process) == joint_law(
+            pair_law(construct_ci_copy(expanded)).process)
+    assert shared_somewhere
 
 
 def test_direct_marginal_always_source_law():

@@ -50,6 +50,8 @@ from canonrep.jsonio import (
     pair_process_to_json,
     process_from_json,
     process_to_json,
+    representation_from_json,
+    representation_to_json,
 )
 from canonrep.martingale import component_conditional_means
 from canonrep.representation import cell_bounds, locate_node
@@ -578,16 +580,16 @@ def test_compiled_tree_matches_arc_function_and_cells():
     rep = represent_mds(random_process(3, 4, 2, seed=8, mds=True))
 
     def walk(compiled, node, prefix):
-        assert np.array_equal(compiled.bounds, [float(c) for c in cell_bounds(node)[1:-1]])
+        ends = cell_bounds(node)
+        assert np.array_equal(compiled.bounds, [float(c) for c in ends[1:-1]])
         assert np.array_equal(
             compiled.values, [[float(c) for c in cell.value] for cell in node.branches]
         )
-        arcs = arc_function(rep, prefix)
-        assert compiled.arcs.dimension == arcs.dimension
-        bounds = [(a.lo, a.hi) for a in arcs.arcs]
-        assert [(a.lo, a.hi) for a in compiled.arcs.arcs] == bounds
-        for got, want in zip(compiled.arcs.arcs, arcs.arcs):
-            assert np.array_equal(got.value, want.value)
+        assert compiled.angles == tuple(2.0 * math.pi * float(c) for c in ends)
+        standalone = arc_function(rep, prefix)
+        assert standalone.values.shape[1] == rep.dimension
+        assert standalone.angles == compiled.angles
+        assert np.array_equal(standalone.values, compiled.values)
         for sub, cell in zip(compiled.children, node.branches):
             if cell.child is None:
                 assert sub is None
@@ -595,6 +597,26 @@ def test_compiled_tree_matches_arc_function_and_cells():
                 walk(sub, cell.child, prefix + (cell.value,))
 
     walk(compile_disk(rep), rep.root, ())
+
+
+def test_compiled_tree_has_one_disk_node_per_distinct_node():
+    shared_somewhere = False
+    for seed in range(6):
+        rep = representation_from_json(representation_to_json(
+            represent_mds(random_dyadic_mds(3, 2, 1, seed=seed))))
+        compiled: dict[int, object] = {}  # id of each node -> its DiskNode
+        prefixes = 0
+        stack = [(rep.root, compile_disk(rep))]
+        while stack:
+            node, disk = stack.pop()
+            prefixes += 1
+            assert compiled.setdefault(id(node), disk) is disk
+            for cell, sub in zip(node.branches, disk.children):
+                if cell.child is not None:
+                    stack.append((cell.child, sub))
+        assert len({id(disk) for disk in compiled.values()}) == len(compiled)
+        shared_somewhere |= len(compiled) < prefixes
+    assert shared_somewhere
 
 
 # ---------------------------------------------------------------------------

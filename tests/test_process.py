@@ -377,8 +377,7 @@ def test_public_names_are_exactly_these():
         "exact_moment_ratio", "interleave_paths", "lp_norm", "recover_sums",
         "sample_paths", "sign_transform",
         # harmonic
-        "Arc", "ArcFunction", "arc_function", "harmonic_extension",
-        "harmonic_measure", "sample_exit",
+        "arc_function", "harmonic_extension", "harmonic_measure", "sample_exit",
         # embedding
         "BrownianConfig", "EmbeddedPath", "martingale_check", "simulate_F",
         "simulate_grid_batch", "simulate_increments",

@@ -625,6 +625,49 @@ def test_measure_check_beyond_64_bit_grid():
     assert res.witness["found"].denominator > 2**64
 
 
+def _decoupled_maps(seed):
+    p = random_process(4, 3, 1, seed=seed, mds=True)
+    return build_transport(pair_law(construct_ci_copy(canonical_representation(p))))
+
+
+def test_measure_check_visits_each_shared_pairs_tuple_once(monkeypatch):
+    import canonrep.transport as transport
+
+    checked = []
+    real = transport._verify_section
+
+    def counting(s):
+        checked.append(s.pairs)
+        return real(s)
+
+    monkeypatch.setattr(transport, "_verify_section", counting)
+    for seed in range(3):
+        for tm in _decoupled_maps(seed):
+            checked.clear()
+            assert verify_measure_preserving(tm).ok
+            distinct = {id(s.pairs) for s in tm.sections}
+            assert len(checked) == len(distinct)
+            assert {id(pairs) for pairs in checked} == distinct
+
+
+def test_broken_shared_pairs_report_their_first_section():
+    broke_shared = False
+    for seed in range(3):
+        for tm in _decoupled_maps(seed):
+            sections = tm.sections
+            for pairs in {id(s.pairs): s.pairs for s in sections}.values():
+                # every section holding the tuple gets one broken tuple
+                broken = pairs[:-1]
+                edited = tuple(SectionTransport(s.history, broken) if s.pairs is pairs
+                               else s for s in sections)
+                res = verify_measure_preserving(TransportMap(tm.step, edited))
+                first = next(s for s in edited if s.pairs is broken)
+                assert not res.ok and res.witness["history"] == first.history
+                assert repr(res) == repr(verify_measure_preserving(first))
+                broke_shared |= sum(s.pairs is broken for s in edited) > 1
+    assert broke_shared
+
+
 def test_section_apply_is_translation():
     section = SectionTransport(
         (),
