@@ -46,11 +46,9 @@ from .representation import (
     Interval,
     canonical_representation,
     cell_bounds,
-    conditional_cdf,
     coordinate_recovery,
     evaluate,
     law_of_representation,
-    quantile_function,
 )
 from .martingale import (
     DecoupledRepresentation,
@@ -76,13 +74,10 @@ from .bench import (
     lp_norm,
     recover_sums,
     sample_paths,
-    sign_transform,
 )
 from .harmonic import (
-    arc_function,
     harmonic_extension,
     harmonic_measure,
-    sample_exit,
 )
 from .embedding import (
     BrownianConfig,

@@ -118,17 +118,6 @@ def recover_sums(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sum_d, sum_e
 
 
-def sign_transform(paths: np.ndarray, signs) -> np.ndarray:
-    """Per path the signed sum over steps, signs in {-1, +1}."""
-    paths = np.asarray(paths, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (paths.shape[-2],):
-        raise ValueError(
-            f"expected {paths.shape[-2]} signs, got {signs.shape}"
-        )
-    return (paths * signs[:, None]).sum(axis=-2)
-
-
 # ---------------------------------------------------------------------------
 # norms and ratios
 

@@ -36,7 +36,7 @@ from .jsonio import (
     transport_to_json,
 )
 from .martingale import construct_ci_copy, pair_law, represent_mds
-from .process import Node, joint_law, validate_process
+from .process import Node, distinct_nodes, joint_law, validate_process
 from .representation import canonical_representation, law_of_representation
 from .rng import GENERATOR_ID
 from .stats import chi_square_gof
@@ -166,12 +166,13 @@ def decouple(in_path: str, out_path: str, quiet: bool) -> None:
 # ---------------------------------------------------------------------------
 # transport
 
-def _sections(node: Node, counts: dict) -> int:
-    """The sections of a transport on ``node``'s tree, counted per distinct node."""
-    if id(node) not in counts:
-        counts[id(node)] = 1 + sum(_sections(br.child, counts) for br in node.branches
+def _sections(root: Node) -> int:
+    """The sections of a transport on ``root``'s tree, counted per distinct node."""
+    counts: dict[int, int] = {}
+    for node in distinct_nodes(root):
+        counts[id(node)] = 1 + sum(counts[id(br.child)] for br in node.branches
                                    if br.child is not None)
-    return counts[id(node)]
+    return counts[id(root)]
 
 
 @main.command()
@@ -191,7 +192,7 @@ def transport(in_path: str, in2_path: str, out_path: str, quiet: bool) -> None:
         rep_b = representation_from_json(load_json(in2_path))
         pq = independent_coupling(rep_a, rep_b)
     base = canonical_representation(pq.process)
-    n_sections = _sections(base.root, {})
+    n_sections = _sections(base.root)
     if n_sections > MAX_SECTIONS:
         raise SizeGuard(f"the transport would hold {n_sections} sections, "
                         f"more than {MAX_SECTIONS}", sections=n_sections, limit=MAX_SECTIONS)

@@ -11,8 +11,8 @@ the harmonic extension reads its cells as arcs.
 The measure of an arc seen from z is computed conformally: the Mobius
 map w -> (w - z) / (1 - conj(z) w) sends z to the origin and the arc to
 another arc whose normalized length is the answer.  From the origin the
-measure of an arc is exactly its length over 2*pi, and exit sampling
-inverts the same map, so sampling needs no rejection anywhere.
+measure of an arc is exactly its length over 2*pi, so exit angles from
+the center are uniform.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import TooCloseToBoundary
-from .process import Node, ValuePath
-from .representation import CellRepresentation, cell_bounds, locate_node
+from .process import Node, distinct_nodes
+from .representation import CellRepresentation, cell_bounds
 
 TAU = 2.0 * math.pi
 
@@ -52,24 +52,15 @@ class DiskNode:
         self.children = children
 
 
-def _compile(node: Node, compiled: dict[int, DiskNode]) -> DiskNode:
-    disk = compiled.get(id(node))
-    if disk is None:
-        disk = compiled[id(node)] = DiskNode(node, [
-            _compile(br.child, compiled) if br.child is not None else None
-            for br in node.branches
-        ])
-    return disk
-
-
 def compile_disk(rep: CellRepresentation) -> DiskNode:
     """The representation compiled to floats, one DiskNode per distinct node."""
-    return _compile(rep.root, {})
-
-
-def arc_function(rep: CellRepresentation, prefix: ValuePath) -> DiskNode:
-    """Boundary data of the node reached by a realizable value prefix."""
-    return _compile(locate_node(rep, prefix), {})
+    compiled: dict[int, DiskNode] = {}
+    for node in distinct_nodes(rep.root):
+        compiled[id(node)] = DiskNode(node, [
+            compiled[id(br.child)] if br.child is not None else None
+            for br in node.branches
+        ])
+    return compiled[id(rep.root)]
 
 
 def walk_uniforms(
@@ -152,20 +143,3 @@ def harmonic_extension(
     for lo, hi, value in zip(node.angles, node.angles[1:], node.values):
         out += value * harmonic_measure(z, (lo, hi), boundary_eps)
     return out
-
-
-def exit_angle(z, u: float) -> float:
-    """Exit angle with uniform driver u in [0, 1): closed-form inverse CDF.
-
-    Pushes the uniform angle 2*pi*u through the inverse Mobius map, so
-    the distribution over any arc equals its harmonic measure from z.
-    """
-    z = _as_complex(z)
-    w = cmath.exp(1j * TAU * u)
-    t = (w + z) / (1.0 + z.conjugate() * w)
-    return cmath.phase(t) % TAU
-
-
-def sample_exit(z, rng: np.random.Generator) -> float:
-    """Draw one Brownian exit angle from z (exact, no path simulation)."""
-    return exit_angle(z, float(rng.random()))

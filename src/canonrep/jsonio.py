@@ -11,14 +11,15 @@ tree too, and its document is one, except that each branch spells its
 cell as "interval": ["p/q", "p/q"] instead of "prob"; its reader also
 checks that the intervals tile [0,1), that the values ascend strictly and
 that a branch has a child exactly when it is above the last level.  All
-tree documents share one writer, which builds one dict per distinct node,
-and one reader, which parses each distinct rational string once per
-document.  Transport documents hold, per step and per history section,
-the list of [[src_lo, src_hi], [tgt_lo, tgt_hi]] pairs, one list per
-distinct node.  ``dump_json`` writes every document, streamed, with the
-bytes of ``json.dump(doc, fh, sort_keys=True, indent=2)`` plus "\n".
-Rationals are serialized as exact strings; floats appear only in the
-bench / embedding reports, always next to their seed and sample count.
+tree documents share one writer, which builds one dict per distinct node
+(``process.distinct_nodes``), and one reader, which parses each distinct
+rational string once per document.  Transport documents hold, per step
+and per history section, the list of [[src_lo, src_hi], [tgt_lo, tgt_hi]]
+pairs, one list per distinct node.  ``dump_json`` writes every document,
+streamed, with the bytes of ``json.dump(doc, fh, sort_keys=True,
+indent=2)`` plus "\n".  Rationals are serialized as exact strings; floats
+appear only in the bench / embedding reports, always next to their seed
+and sample count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import FormatError
-from .process import ZERO, Branch, FiniteProcess, Node, PairProcess, Value
+from .process import ZERO, Branch, FiniteProcess, Node, PairProcess, Value, distinct_nodes
 from .representation import CellRepresentation, cell_bounds
 from .transport import TransportMap
 
@@ -61,22 +62,18 @@ def _tree_to_json(p: FiniteProcess, key: str, spell) -> dict:
     """The document of a process tree, each branch's weight written under
     ``key`` as ``spell(node)`` lists it; a node shared in ``p`` gets one
     dict, shared in the document."""
-    memo: dict[int, dict] = {}
-
-    def node_json(node: Node) -> dict:
-        if id(node) not in memo:
-            memo[id(node)] = {"branches": [
-                {"value": list(map(str, br.value)), key: weight,
-                 "child": node_json(br.child) if br.child is not None else None}
-                for br, weight in zip(node.branches, spell(node))
-            ]}
-        return memo[id(node)]
-
+    docs: dict[int, dict] = {}
+    for node in distinct_nodes(p.root):
+        docs[id(node)] = {"branches": [
+            {"value": list(map(str, br.value)), key: weight,
+             "child": docs[id(br.child)] if br.child is not None else None}
+            for br, weight in zip(node.branches, spell(node))
+        ]}
     return {
         "format_version": FORMAT_VERSION,
         "dimension": p.dimension,
         "depth": p.depth,
-        "root": node_json(p.root),
+        "root": docs[id(p.root)],
     }
 
 

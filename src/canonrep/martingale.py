@@ -31,6 +31,7 @@ from .process import (
     PairProcess,
     ValuePath,
     _zero_mean_check,
+    distinct_nodes,
     fmt_prefix,
     is_mds,
 )
@@ -63,19 +64,11 @@ def verify_zero_sections(r: CellRepresentation) -> ZeroSectionReport:
     (``canonical_representation`` shares equal subtrees).
     """
     worst = ZERO
-    seen: set[int] = set()
-    stack = [r.root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in distinct_nodes(r.root):
         mean = [ZERO] * r.dimension
         for br in node.branches:
             for i, c in enumerate(br.value):
                 mean[i] += br.prob * c
-            if br.child is not None:
-                stack.append(br.child)
         worst = max(worst, max((abs(c) for c in mean), default=ZERO))
     return ZeroSectionReport(worst)
 
@@ -148,19 +141,14 @@ def pair_law(d: DecoupledRepresentation) -> PairProcess:
     """
     dim = d.base.dimension
     built: dict[int, Node] = {}
-
-    def build(node: Node) -> Node:
-        pair = built.get(id(node))
-        if pair is None:
-            branches = []
-            for x in node.branches:
-                child = build(x.child) if x.child is not None else None
-                for y in node.branches:
-                    branches.append(Branch(x.value + y.value, x.prob * y.prob, child))
-            pair = built[id(node)] = Node(tuple(branches))
-        return pair
-
-    process = FiniteProcess(2 * dim, d.base.depth, build(d.base.root))
+    for node in distinct_nodes(d.base.root):
+        branches = []
+        for x in node.branches:
+            child = built[id(x.child)] if x.child is not None else None
+            for y in node.branches:
+                branches.append(Branch(x.value + y.value, x.prob * y.prob, child))
+        built[id(node)] = Node(tuple(branches))
+    process = FiniteProcess(2 * dim, d.base.depth, built[id(d.base.root)])
     return PairProcess(process, dim)
 
 

@@ -17,9 +17,11 @@ pure, so concurrent reads are safe, and trees may share nodes (``pair_law``,
 ``canonical_representation`` and the ``jsonio`` readers do).  A
 ``representation.CellRepresentation`` is one of these trees, so everything
 here applies to it.  ``is_mds``, ``are_tangent`` and
-``satisfies_ci`` visit each distinct prefix class once (``iter_prefix_laws``),
-and ``joint_law`` builds the law below each distinct node once; no check
-enumerates the paths of a pair.
+``satisfies_ci`` visit each distinct prefix class once (``iter_prefix_laws``);
+no check enumerates the paths of a pair.  ``distinct_nodes`` lists each
+distinct node of a tree once, children first, and every pass that builds
+one result per node (``joint_law``, ``pair_law``, the compiled disk tree,
+the JSON writer) loops over it, so a tree costs per distinct node.
 """
 
 from __future__ import annotations
@@ -100,6 +102,25 @@ class PairProcess:
     def split(self, v: Value) -> tuple[Value, Value]:
         d = self.component_dim
         return v[:d], v[d:]
+
+
+def distinct_nodes(root: Node) -> list[Node]:
+    """Every node of the tree under ``root`` once (by identity), each after
+    all of its children, ``root`` last."""
+    out: list[Node] = []
+    seen = {id(root)}
+    stack = [(root, iter(root.branches))]
+    while stack:
+        node, branches = stack[-1]
+        for br in branches:
+            if br.child is not None and id(br.child) not in seen:
+                seen.add(id(br.child))
+                stack.append((br.child, iter(br.child.branches)))
+                break
+        else:  # every child is listed
+            stack.pop()
+            out.append(node)
+    return out
 
 
 class CheckResult(NamedTuple):
@@ -187,37 +208,32 @@ def joint_law(p: FiniteProcess, part: slice = slice(None)) -> PathLaw:
     only where a node's heads repeat with distinct children, and at the end.
     """
     # the law below each node: a dict where paths merged, else (paths, probs)
-    memo: dict[int, PathLaw | tuple[list[ValuePath], list[Fraction]]] = {}
-
-    def law(node: Node) -> PathLaw | tuple[list[ValuePath], list[Fraction]]:
-        out = memo.get(id(node))
-        if out is None:
-            steps: dict[tuple, list] = {}  # (head, child id) -> [head, child, prob]
-            for br in node.branches:
-                key = ((br.value[part],), id(br.child))
-                if key in steps:
-                    steps[key][2] += br.prob
-                else:
-                    steps[key] = [key[0], br.child, br.prob]
-            paths, probs = [], []
-            for head, child, prob in steps.values():
-                if child is None:
-                    paths.append(head)
-                    probs.append(prob)
-                    continue
-                below = law(child)
-                tails, qs = (below.keys(), below.values()) if isinstance(below, dict) else below
-                paths += [head + tail for tail in tails]
-                probs += [prob * q for q in qs]
-            out = (paths, probs)
-            if len({head for head, _, _ in steps.values()}) < len(steps):
-                out = {}
-                for path, q in zip(paths, probs):
-                    out[path] = out.get(path, ZERO) + q
-            memo[id(node)] = out
-        return out
-
-    out = law(p.root)
+    laws: dict[int, PathLaw | tuple[list[ValuePath], list[Fraction]]] = {}
+    for node in distinct_nodes(p.root):
+        steps: dict[tuple, list] = {}  # (head, child id) -> [head, child, prob]
+        for br in node.branches:
+            key = ((br.value[part],), id(br.child))
+            if key in steps:
+                steps[key][2] += br.prob
+            else:
+                steps[key] = [key[0], br.child, br.prob]
+        paths, probs = [], []
+        for head, child, prob in steps.values():
+            if child is None:
+                paths.append(head)
+                probs.append(prob)
+                continue
+            below = laws[id(child)]
+            tails, qs = (below.keys(), below.values()) if isinstance(below, dict) else below
+            paths += [head + tail for tail in tails]
+            probs += [prob * q for q in qs]
+        out = (paths, probs)
+        if len({head for head, _, _ in steps.values()}) < len(steps):
+            out = {}
+            for path, q in zip(paths, probs):
+                out[path] = out.get(path, ZERO) + q
+        laws[id(node)] = out
+    out = laws[id(p.root)]
     return out if isinstance(out, dict) else dict(zip(*out))
 
 
@@ -420,18 +436,13 @@ def satisfies_ci(pq: PairProcess, checked_component: int = 1) -> CheckResult:
 
 def _map_values(root: Node, fn) -> Node:
     """The tree with every value v replaced by fn(v), shared nodes kept shared."""
-    memo: dict[int, Node] = {}
-
-    def rebuild(node: Node) -> Node:
-        out = memo.get(id(node))
-        if out is None:
-            out = memo[id(node)] = Node(tuple(
-                Branch(fn(br.value), br.prob, rebuild(br.child) if br.child else None)
-                for br in node.branches
-            ))
-        return out
-
-    return rebuild(root)
+    mapped: dict[int, Node] = {}
+    for node in distinct_nodes(root):
+        mapped[id(node)] = Node(tuple(
+            Branch(fn(br.value), br.prob, mapped[id(br.child)] if br.child else None)
+            for br in node.branches
+        ))
+    return mapped[id(root)]
 
 
 def pair_from_identical(p: FiniteProcess) -> PairProcess:

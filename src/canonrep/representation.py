@@ -38,10 +38,8 @@ from .process import (
     FiniteProcess,
     Node,
     PathLaw,
-    Value,
     ValuePath,
     _split_class,
-    conditional_law,
     fmt_prefix,
     fmt_value,
     joint_law,
@@ -83,38 +81,6 @@ def cell_bounds(node: Node) -> tuple[Fraction, ...]:
     """Cell ends of a representation node: 0, then the cumulative branch
     probabilities, up to 1; cell i is [ends[i], ends[i + 1])."""
     return tuple(accumulate((br.prob for br in node.branches), initial=ZERO))
-
-
-# ---------------------------------------------------------------------------
-# conditional cdf / quantile on the source process
-
-def conditional_cdf(p: FiniteProcess, prefix: ValuePath, t: Value) -> Fraction:
-    """Pr(next value < t | prefix) under strict lexicographic order."""
-    law = conditional_law(p, prefix)
-    total = ZERO
-    for v, q in law:
-        if v < tuple(t):
-            total += q
-    return total
-
-
-def quantile_function(p: FiniteProcess, prefix: ValuePath, x) -> Value:
-    """Conditional quantile at level x in (0, 1).
-
-    Returns the atom whose cumulative cell [cdf(v), cdf(next)) contains x;
-    a level exactly on a boundary takes the atom on the right.  This
-    equals evaluating the node's cell partition at x.
-    """
-    x = Fraction(x)
-    if not (0 < x < 1):
-        raise XOutOfRange(f"quantile level {x} outside (0,1)")
-    law = conditional_law(p, prefix)
-    cum = ZERO
-    for v, q in law:
-        cum += q
-        if x < cum:
-            return v
-    return law[-1][0]  # x in [last boundary, 1)
 
 
 # ---------------------------------------------------------------------------

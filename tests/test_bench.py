@@ -25,7 +25,6 @@ from canonrep import (
     recover_sums,
     represent_mds,
     sample_paths,
-    sign_transform,
 )
 from canonrep import bench
 from canonrep.stats import chi_square_gof
@@ -192,37 +191,6 @@ def test_lp_norm_second_moment_additivity():
     batch = sample_paths(rep, 50_000, seed=6)
     est, se = lp_norm(batch.paths.sum(axis=1), 2)
     assert abs(est**2 - float(md)) <= 5 * (2 * est * se + se**2 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# sign transform
-
-def test_sign_transform_all_plus(coin_rep):
-    batch = sample_paths(coin_rep, 100, seed=7)
-    plain = batch.paths.sum(axis=1)
-    assert np.array_equal(sign_transform(batch.paths, [1.0]), plain)
-
-
-def test_sign_transform_single_negation(coin_rep):
-    batch = sample_paths(coin_rep, 100, seed=7)
-    flipped = sign_transform(batch.paths, [-1.0])
-    assert np.array_equal(flipped, -batch.paths.sum(axis=1))
-    assert lp_norm(flipped, 2) == lp_norm(-flipped, 2)
-
-
-def test_sign_transform_preserves_second_moment():
-    p = random_dyadic_mds(3, 2, 1, seed=23)
-    rep = represent_mds(p)
-    batch = sample_paths(rep, 40_000, seed=9)
-    est_plus, se_plus = lp_norm(sign_transform(batch.paths, [1, 1, 1]), 2)
-    est_mix, se_mix = lp_norm(sign_transform(batch.paths, [1, -1, 1]), 2)
-    assert abs(est_plus - est_mix) <= 5 * math.hypot(se_plus, se_mix) + 1e-12
-
-
-def test_sign_transform_length_check(coin_rep):
-    batch = sample_paths(coin_rep, 10, seed=1)
-    with pytest.raises(ValueError):
-        sign_transform(batch.paths, [1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,11 @@ from scipy import integrate
 
 from canonrep import (
     TooCloseToBoundary,
-    UnreachablePrefix,
-    arc_function,
     harmonic_extension,
     harmonic_measure,
     represent_mds,
-    sample_exit,
 )
-from canonrep.harmonic import TAU, DiskNode, exit_angle
-from canonrep.rng import path_stream
-from canonrep.stats import chi_square_gof
+from canonrep.harmonic import TAU, DiskNode, compile_disk
 from conftest import leaf, v1
 
 
@@ -49,7 +44,7 @@ def poisson_quadrature(z: complex, lo: float, hi: float) -> float:
 # arc functions
 
 def test_arc_function_fair_coin(fair_coin):
-    node = arc_function(represent_mds(fair_coin), ())
+    node = compile_disk(represent_mds(fair_coin))
     assert len(node.values) == 2
     assert node.angles[0] == 0.0
     assert node.angles[1] == pytest.approx(math.pi)
@@ -58,14 +53,9 @@ def test_arc_function_fair_coin(fair_coin):
 
 
 def test_arc_function_skew(skew_mds):
-    node = arc_function(represent_mds(skew_mds), ())
+    node = compile_disk(represent_mds(skew_mds))
     assert node.values[0][0] == -2.0
     assert node.angles[1] == pytest.approx(TAU / 3)
-
-
-def test_arc_function_unreachable(fair_coin):
-    with pytest.raises(UnreachablePrefix):
-        arc_function(represent_mds(fair_coin), ((F(5),),))
 
 
 def test_arc_mean_zero_over_circle():
@@ -75,7 +65,7 @@ def test_arc_mean_zero_over_circle():
     for _ in range(5):
         p = random_process(2, 4, 2, seed=rng.randrange(10**9), mds=True)
         rep = represent_mds(p)
-        node = arc_function(rep, ())
+        node = compile_disk(rep)
         mean = sum(((hi - lo) / TAU) * value
                    for lo, hi, value in zip(node.angles, node.angles[1:], node.values))
         assert np.max(np.abs(mean)) < 1e-12
@@ -132,7 +122,7 @@ def test_measure_boundary_guard():
 # harmonic extension
 
 def test_extension_zero_at_center_for_mds(skew_mds):
-    node = arc_function(represent_mds(skew_mds), ())
+    node = compile_disk(represent_mds(skew_mds))
     assert abs(harmonic_extension(node, 0)[0]) < 1e-12
 
 
@@ -147,52 +137,8 @@ def test_extension_constant_boundary():
 
 
 def test_extension_fair_coin_combination(fair_coin):
-    node = arc_function(represent_mds(fair_coin), ())
+    node = compile_disk(represent_mds(fair_coin))
     z = 0.5
     omega_low = poisson_quadrature(0.5 + 0j, 0.0, math.pi)
     expect = -1.0 * omega_low + 1.0 * (1 - omega_low)
     assert harmonic_extension(node, z)[0] == pytest.approx(expect, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# exit sampling
-
-@pytest.mark.parametrize("n_arcs", [8, 16])
-def test_exit_from_center_uniform_chi_square(n_arcs):
-    rng = path_stream(77, 0)
-    n = 100_000
-    angles = np.array([exit_angle(0, u) for u in rng.random(n)])
-    counts, _ = np.histogram(angles, bins=n_arcs, range=(0.0, TAU))
-    res = chi_square_gof(counts, np.full(n_arcs, 1 / n_arcs))
-    assert res.p_value > 0.01
-
-
-def test_exit_inverse_transform_matches_measure():
-    # empirical arc frequencies from the closed-form sampler vs exact measure
-    z = 0.4 + 0.3j
-    rng = path_stream(5, 1)
-    n = 100_000
-    us = rng.random(n)
-    angles = np.array([exit_angle(z, u) for u in us])
-    edges = np.linspace(0.0, TAU, 9)
-    counts, _ = np.histogram(angles, bins=edges)
-    probs = np.array(
-        [harmonic_measure(z, (a, b)) for a, b in zip(edges[:-1], edges[1:])]
-    )
-    res = chi_square_gof(counts, probs)
-    assert res.p_value > 0.01
-
-
-def test_exit_concentrates_toward_boundary_point():
-    z = 0.9 * cmath.exp(1j * 1.0)
-    rng = path_stream(6, 2)
-    angles = np.array([sample_exit(z, rng) for _ in range(2001)])
-    # median within half-width pi/2 around arg z
-    diffs = np.angle(np.exp(1j * (angles - 1.0)))
-    assert abs(np.median(diffs)) < math.pi / 2
-
-
-def test_exit_deterministic_given_seed():
-    a = sample_exit(0.2 + 0.1j, path_stream(9, 3))
-    b = sample_exit(0.2 + 0.1j, path_stream(9, 3))
-    assert a == b

@@ -44,7 +44,7 @@ from canonrep import (
     swap_components,
     verify_transport_consistency,
 )
-from canonrep.harmonic import arc_function, compile_disk
+from canonrep.harmonic import compile_disk
 from canonrep.jsonio import (
     pair_process_from_json,
     pair_process_to_json,
@@ -54,6 +54,7 @@ from canonrep.jsonio import (
     representation_to_json,
 )
 from canonrep.martingale import component_conditional_means
+from canonrep.process import distinct_nodes
 from canonrep.representation import cell_bounds, locate_node
 from canonrep.transport import SectionTransport, TransportMap
 
@@ -558,10 +559,6 @@ def test_coordinate_recovery_unreachable(rep):
         cells(rep.root)[0][0], cells(rep.root.branches[0].child)[0][0])
 
 
-def test_arc_function_unreachable(rep):
-    _raises(UnreachablePrefix, arc_function, rep, ((F(99),),))
-
-
 def test_transport_consistency_unknown_history_raises():
     pq = random_tangent_pair(2, 3, 1, seed=4)
     base = canonical_representation(pq.process)
@@ -574,29 +571,49 @@ def test_transport_consistency_unknown_history_raises():
 
 
 # ---------------------------------------------------------------------------
+# one distinct-node walk
+
+def test_distinct_nodes_lists_each_node_once_children_first():
+    rep = represent_mds(random_process(4, 3, 1, seed=5, mds=True))
+    pair = pair_law(construct_ci_copy(rep)).process
+    read_back = process_from_json(process_to_json(pair))  # interns equal subtrees
+    for root in (pair.root, read_back.root):
+        nodes = distinct_nodes(root)
+        position = {id(node): k for k, node in enumerate(nodes)}
+        assert len(position) == len(nodes)
+        expanded, stack = [], [root]  # every prefix's node, shared or not
+        while stack:
+            node = stack.pop()
+            expanded.append(id(node))
+            stack.extend(br.child for br in node.branches if br.child is not None)
+        assert set(position) == set(expanded) and len(nodes) < len(expanded)
+        for node in nodes:
+            for br in node.branches:
+                if br.child is not None:
+                    assert position[id(br.child)] < position[id(node)]
+        assert nodes[-1] is root
+
+
+# ---------------------------------------------------------------------------
 # one compiled tree
 
 def test_compiled_tree_matches_arc_function_and_cells():
     rep = represent_mds(random_process(3, 4, 2, seed=8, mds=True))
 
-    def walk(compiled, node, prefix):
+    def walk(compiled, node):
         ends = cell_bounds(node)
         assert np.array_equal(compiled.bounds, [float(c) for c in ends[1:-1]])
         assert np.array_equal(
             compiled.values, [[float(c) for c in cell.value] for cell in node.branches]
         )
         assert compiled.angles == tuple(2.0 * math.pi * float(c) for c in ends)
-        standalone = arc_function(rep, prefix)
-        assert standalone.values.shape[1] == rep.dimension
-        assert standalone.angles == compiled.angles
-        assert np.array_equal(standalone.values, compiled.values)
         for sub, cell in zip(compiled.children, node.branches):
             if cell.child is None:
                 assert sub is None
             else:
-                walk(sub, cell.child, prefix + (cell.value,))
+                walk(sub, cell.child)
 
-    walk(compile_disk(rep), rep.root, ())
+    walk(compile_disk(rep), rep.root)
 
 
 def test_compiled_tree_has_one_disk_node_per_distinct_node():

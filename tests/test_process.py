@@ -363,8 +363,8 @@ def test_public_names_are_exactly_these():
         "swap_components", "validate_process",
         # representation
         "CellRepresentation", "Interval", "canonical_representation",
-        "cell_bounds", "conditional_cdf", "coordinate_recovery", "evaluate",
-        "law_of_representation", "quantile_function",
+        "cell_bounds", "coordinate_recovery", "evaluate",
+        "law_of_representation",
         # martingale
         "DecoupledRepresentation", "construct_ci_copy", "pair_law",
         "represent_mds", "verify_zero_sections",
@@ -375,9 +375,9 @@ def test_public_names_are_exactly_these():
         # bench
         "PairSampleBatch", "SampleBatch", "decoupling_ratio",
         "exact_moment_ratio", "interleave_paths", "lp_norm", "recover_sums",
-        "sample_paths", "sign_transform",
+        "sample_paths",
         # harmonic
-        "arc_function", "harmonic_extension", "harmonic_measure", "sample_exit",
+        "harmonic_extension", "harmonic_measure",
         # embedding
         "BrownianConfig", "EmbeddedPath", "martingale_check", "simulate_F",
         "simulate_grid_batch", "simulate_increments",

@@ -6,15 +6,13 @@ import pytest
 from canonrep import (
     FiniteProcess,
     UnreachablePath,
-    UnreachablePrefix,
     XOutOfRange,
     canonical_representation,
-    conditional_cdf,
+    conditional_law,
     coordinate_recovery,
     evaluate,
     joint_law,
     law_of_representation,
-    quantile_function,
     random_process,
 )
 from canonrep.representation import Interval, cell_bounds
@@ -23,62 +21,15 @@ from conftest import cells, leaf, v1
 
 
 # ---------------------------------------------------------------------------
-# conditional cdf
-
-def test_cdf_fair_coin(fair_coin):
-    assert conditional_cdf(fair_coin, (), (F(0),)) == F(1, 2)
-    assert conditional_cdf(fair_coin, (), (F(-1),)) == 0  # strict inequality
-    assert conditional_cdf(fair_coin, (), (F(2),)) == 1
-
-
-def test_cdf_skew(skew_mds):
-    assert conditional_cdf(skew_mds, (), (F(1),)) == F(1, 3)
-
-
-def test_cdf_monotone(fair_coin):
-    grid = [(F(t, 4),) for t in range(-8, 9)]
-    vals = [conditional_cdf(fair_coin, (), t) for t in grid]
-    assert vals == sorted(vals)
-
-
-# ---------------------------------------------------------------------------
 # quantile
 
-def test_quantile_fair_coin(fair_coin):
-    assert quantile_function(fair_coin, (), F(1, 4)) == (F(-1),)
-    # boundary level belongs to the cell on its right
-    assert quantile_function(fair_coin, (), F(1, 2)) == (F(1),)
-
-
-def test_quantile_skew(skew_mds):
-    assert quantile_function(skew_mds, (), F(1, 3)) == (F(1),)
-
-
-def test_quantile_out_of_range(fair_coin):
-    with pytest.raises(XOutOfRange):
-        quantile_function(fair_coin, (), F(0))
-    with pytest.raises(XOutOfRange):
-        quantile_function(fair_coin, (), F(1))
-
-
-def test_quantile_unreachable_prefix(fair_coin):
-    with pytest.raises(UnreachablePrefix):
-        quantile_function(fair_coin, ((F(5),),), F(1, 2))
-
-
 def test_quantile_matches_partition():
-    # 1000 random levels per node: quantile equals partition evaluation
+    # each node's cells, in order, are the conditional law at its prefix
     p = random_process(3, 4, 1, seed=3)
     r = canonical_representation(p)
-    rng = Random(0)
 
     def walk(node, prefix):
-        for _ in range(1000):
-            x = F(rng.randrange(1, 10**6), 10**6)
-            cell = node.branches[
-                max(i for i, c in enumerate(cell_bounds(node)[:-1]) if c <= x)
-            ]
-            assert quantile_function(p, prefix, x) == cell.value
+        assert [(cell.value, cell.prob) for cell in node.branches] == conditional_law(p, prefix)
         for cell in node.branches:
             if cell.child is not None:
                 walk(cell.child, prefix + (cell.value,))
@@ -131,8 +82,6 @@ def test_section_lengths_match_conditional_probs():
     r = canonical_representation(p)
 
     def walk(node, prefix):
-        from canonrep import conditional_law
-
         law = dict(conditional_law(p, prefix))
         for iv, cell in cells(node):
             assert iv.length == law[cell.value]
