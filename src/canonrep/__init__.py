@@ -35,7 +35,6 @@ from .process import (
     is_mds,
     iter_prefix_laws,
     joint_law,
-    make_value,
     pair_from_identical,
     satisfies_ci,
     swap_components,
@@ -51,8 +50,6 @@ from .representation import (
     law_of_representation,
 )
 from .martingale import (
-    DecoupledRepresentation,
-    construct_ci_copy,
     pair_law,
     represent_mds,
     verify_zero_sections,
@@ -67,7 +64,6 @@ from .transport import (
 )
 from .bench import (
     PairSampleBatch,
-    SampleBatch,
     decoupling_ratio,
     exact_moment_ratio,
     interleave_paths,

@@ -20,18 +20,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateBatch, SizeGuard
 from .harmonic import compile_disk, walk_uniforms
 from .jsonio import representation_to_json
-from .martingale import (
-    DecoupledRepresentation,
-    construct_ci_copy,
-    verify_zero_sections,
-)
+from .martingale import verify_zero_sections
 from .process import ONE, ZERO
 from .representation import CellRepresentation
 # path_stream stays importable from here; bench/spans.py wraps it in this namespace
@@ -47,16 +43,6 @@ def _rep_id(rep: CellRepresentation) -> str:
 # batches
 
 @dataclass
-class SampleBatch:
-    """Sampled value paths of a representation, (count, depth, dim) floats."""
-
-    paths: np.ndarray
-    seed: int
-    source: str
-    generator: str = GENERATOR_ID
-
-
-@dataclass
 class PairSampleBatch:
     """Sampled (direct, decoupled copy) paths on the product square."""
 
@@ -67,29 +53,22 @@ class PairSampleBatch:
     generator: str = GENERATOR_ID
 
 
-def sample_paths(
-    source: Union[CellRepresentation, DecoupledRepresentation],
-    count: int,
-    seed: int,
-) -> Union[SampleBatch, PairSampleBatch]:
-    """Draw ``count`` paths; decoupled input yields a pair batch.
+def sample_paths(rep: CellRepresentation, count: int, seed: int) -> PairSampleBatch:
+    """Draw ``count`` paths of ``rep`` and of its decoupled copy.
 
     Path m consumes only the stream keyed by (seed, m): its first
-    ``depth`` uniforms drive the history walk and, for decoupled input,
-    the next ``depth`` uniforms drive the copy.
+    ``depth`` uniforms x drive the history walk, whose cells give the
+    direct values, and the next ``depth`` uniforms y pick the copy's cell
+    at each node the walk reaches.  A row's first ``depth`` uniforms do
+    not depend on its width, so ``direct`` has the bytes of a walk that
+    draws only those.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    decoupled = isinstance(source, DecoupledRepresentation)
-    rep = source.base if decoupled else source
     depth = rep.depth
-    u = path_uniforms(seed, 0, count, 2 * depth if decoupled else depth)
-    direct, copy = walk_uniforms(
-        compile_disk(rep), u[:, :depth], u[:, depth:] if decoupled else None
-    )
-    if decoupled:
-        return PairSampleBatch(direct, copy, seed, _rep_id(rep))
-    return SampleBatch(direct, seed, _rep_id(rep))
+    u = path_uniforms(seed, 0, count, 2 * depth)
+    direct, copy = walk_uniforms(compile_disk(rep), u[:, :depth], u[:, depth:])
+    return PairSampleBatch(direct, copy, seed, _rep_id(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +162,7 @@ def decoupling_ratio(
     out without sampling again.
     """
     verify_zero_sections(rep).require_zero()
-    batch = sample_paths(construct_ci_copy(rep), count, seed)
+    batch = sample_paths(rep, count, seed)
     sums_d = batch.direct.sum(axis=1)
     sums_e = batch.decoupled.sum(axis=1)
     est_d, se_d = lp_norm(sums_d, p)

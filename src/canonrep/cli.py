@@ -35,7 +35,7 @@ from .jsonio import (
     representation_to_json,
     transport_to_json,
 )
-from .martingale import construct_ci_copy, pair_law, represent_mds
+from .martingale import pair_law, represent_mds
 from .process import Node, distinct_nodes, joint_law, validate_process
 from .representation import canonical_representation, law_of_representation
 from .rng import GENERATOR_ID
@@ -148,7 +148,7 @@ def decouple(in_path: str, out_path: str, quiet: bool) -> None:
     holds), so it is reported informationally.
     """
     rep = representation_from_json(load_json(in_path))
-    pq = pair_law(construct_ci_copy(rep))
+    pq = pair_law(rep)
     source_law = law_of_representation(rep)
     d = pq.component_dim
     marg_first = joint_law(pq.process, slice(None, d))
@@ -341,13 +341,13 @@ def skorohod(
     grid_rows = min(samples, 10**4) if need_grid else 0
     times = _parse_grid(grid, rep.depth, grid_rows) if need_grid else None
     # one pass: the first 10^4 paths carry the grid, the rest only increments
-    batch, values = emb._simulate_batch(rep, samples, cfg, times, grid_rows)
+    batch = emb.simulate_increments(rep, samples, cfg, times, grid_rows)
     chi = increment_chi_square(rep, batch.increments)
 
     martingale_doc = None
     mart_ok = True
     if samples >= 10**4:  # then the grid holds 10^4 paths, the check's minimum
-        report = emb.martingale_check(values, times)
+        report = emb.martingale_check(batch.values, times)
         mart_ok = report.mean_ok() and report.slopes_ok()
         martingale_doc = {
             "checkpoints": [float(t) for t in report.checkpoints],
@@ -391,12 +391,12 @@ def skorohod(
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["path", "t"] + [f"F_{i}" for i in range(rep.dimension)])
-            for m in range(min(values.shape[0], 100)):
-                for t, row in zip(times, values[m]):
+            for m in range(min(batch.values.shape[0], 100)):
+                for t, row in zip(times, batch.values[m]):
                     writer.writerow([m, repr(float(t))] + [repr(float(v)) for v in row])
     if svg_path is not None:
         with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(trajectories_svg(times, values[:20, :, 0]))
+            fh.write(trajectories_svg(times, batch.values[:20, :, 0]))
 
     _say(quiet, f"chi-square p={chi.p_value:.4f}, restarts={batch.restarts}, "
                 f"coarse_blocks={batch.coarse_blocks}, "

@@ -103,10 +103,13 @@ class EmbeddedPath:
 
 @dataclass
 class IncrementBatch:
-    """Exact per-block increments for many paths (no grid values)."""
+    """Exact per-block increments for many paths and, given a grid, the
+    trajectory values of the first paths on it."""
 
     increments: np.ndarray  # (count, depth, dim)
     exit_angles: np.ndarray  # (count, depth)
+    exit_times: Optional[np.ndarray]  # (count, depth); None under exit_sample
+    values: Optional[np.ndarray]  # (grid paths, grid points, dim); None without a grid
     restarts: int
     coarse_blocks: int
     total_blocks: int
@@ -230,18 +233,6 @@ def _grid_by_block(grid: np.ndarray, depth: int) -> list[list[tuple[int, float]]
     return per_block
 
 
-@dataclass
-class _PathRange:
-    """Paths ``start .. stop - 1`` of a batch, before any guard."""
-
-    increments: np.ndarray  # (paths, depth, dim)
-    angles: np.ndarray  # (paths, depth)
-    exit_times: Optional[np.ndarray]  # (paths, depth); None under exit_sample
-    values: Optional[np.ndarray]  # (paths, grid points, dim); None without a grid
-    restarts: int = 0
-    coarse: int = 0
-
-
 def _simulate_range(
     rep: CellRepresentation,
     root: DiskNode,
@@ -249,7 +240,7 @@ def _simulate_range(
     start: int,
     stop: int,
     per_block: Optional[list[list[tuple[int, float]]]] = None,
-) -> _PathRange:
+) -> IncrementBatch:
     """Simulate paths ``start`` to ``stop - 1`` of the checked tree ``rep``
     compiled to ``root`` and, given a grid split by ``_grid_by_block``,
     their grid values.  Path m draws only from the streams keyed by
@@ -259,12 +250,11 @@ def _simulate_range(
     depth, dim = rep.depth, rep.dimension
     count = max(stop - start, 0)
     n_grid = sum(len(block) for block in per_block) if per_block is not None else 0
+    values = np.empty((count, n_grid, dim)) if per_block is not None else None
     if cfg.scheme == "euler":
-        out = _PathRange(
-            np.empty((count, depth, dim)),
-            np.empty((count, depth)),
-            np.empty((count, depth)),
-            np.empty((count, n_grid, dim)) if per_block is not None else None,
+        out = IncrementBatch(
+            np.empty((count, depth, dim)), np.empty((count, depth)),
+            np.empty((count, depth)), values, 0, 0, count * depth, cfg.seed, cfg.scheme,
         )
         sigmas = _step_sigmas(cfg)
         for i in range(count):
@@ -273,18 +263,19 @@ def _simulate_range(
 
     us = path_uniforms(cfg.seed, start, stop, depth)
     increments, _ = walk_uniforms(root, us)
-    values = None
     if per_block is not None:
         # start-of-block sums for all paths at once, accumulated from zero
         # as (0 + x_1) + x_2 + ..., so the bytes match a per-path running
         # sum, signed zeros included
-        values = np.empty((count, n_grid, dim))
         partial = np.zeros((count, dim))
         for n, block in enumerate(per_block):
             for gi, _rel in block:
                 values[:, gi] = partial
             partial = partial + increments[:, n]
-    return _PathRange(increments, np.multiply(us, TAU, out=us), None, values)
+    return IncrementBatch(
+        increments, np.multiply(us, TAU, out=us), None, values, 0, 0, count * depth,
+        cfg.seed, cfg.scheme,
+    )
 
 
 def _euler_path(
@@ -293,7 +284,7 @@ def _euler_path(
     sigmas: np.ndarray,
     path_index: int,
     per_block: Optional[list[list[tuple[int, float]]]],
-    out: _PathRange,
+    out: IncrementBatch,
     row: int,
 ) -> None:
     """Fill row ``row`` of ``out`` with path ``path_index`` under the euler
@@ -315,11 +306,11 @@ def _euler_path(
         )
         out.restarts += res.attempts - 1
         if res.steps < MIN_STEPS_BEFORE_EXIT:
-            out.coarse += 1
+            out.coarse_blocks += 1
         cell = int(np.searchsorted(node.bounds, res.angle / TAU, side="right"))
         increment = node.values[cell]
         out.increments[row, n] = increment
-        out.angles[row, n] = res.angle
+        out.exit_angles[row, n] = res.angle
         out.exit_times[row, n] = n + res.rel_time
         for gi, rel in wanted_rel:
             if rel < res.rel_time:
@@ -357,47 +348,21 @@ def simulate_F(
         rep, compile_disk(rep), cfg, path_index, path_index + 1,
         _grid_by_block(grid, rep.depth),
     )
-    _coarse_guard(path.coarse, rep.depth)
+    _coarse_guard(path.coarse_blocks, path.total_blocks)
     return EmbeddedPath(
         times=grid,
         values=path.values[0],
         increments=path.increments[0],
-        exit_points=path.angles[0],
+        exit_points=path.exit_angles[0],
         exit_times=(
             np.full(rep.depth, math.nan) if path.exit_times is None else path.exit_times[0]
         ),
         restarts=path.restarts,
-        coarse_blocks=path.coarse,
+        coarse_blocks=path.coarse_blocks,
         scheme=cfg.scheme,
         seed=cfg.seed,
         path_index=path_index,
     )
-
-
-def simulate_increments(
-    rep: CellRepresentation, count: int, cfg: BrownianConfig
-) -> IncrementBatch:
-    """Exact per-block increments for ``count`` paths (fast, no grid).
-
-    Raises StepTooCoarse when at least 1% of all simulated euler blocks
-    exited in fewer than the minimum number of steps.
-    """
-    verify_zero_sections(rep).require_zero()
-    return _simulate_batch(rep, count, cfg, None, 0)[0]
-
-
-def simulate_grid_batch(
-    rep: CellRepresentation, grid, count: int, cfg: BrownianConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Trajectory values on a common grid for many paths.
-
-    Returns (values (count, len(grid), dim), increments (count, depth,
-    dim), restarts).  StepTooCoarse aggregates over all blocks of the
-    whole batch.
-    """
-    verify_zero_sections(rep).require_zero()
-    batch, values = _simulate_batch(rep, count, cfg, np.asarray(grid, dtype=float), count)
-    return values, batch.increments, batch.restarts
 
 
 def _stack(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -407,38 +372,55 @@ def _stack(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return tail if len(tail) else head
 
 
-def _simulate_batch(
+def simulate_increments(
     rep: CellRepresentation,
     count: int,
     cfg: BrownianConfig,
-    grid: Optional[np.ndarray],
-    grid_count: int,
-) -> tuple[IncrementBatch, Optional[np.ndarray]]:
-    """``simulate_increments(rep, count, cfg)`` and, given a grid, the
-    values of ``simulate_grid_batch(rep, grid, grid_count, cfg)``, with
-    every path simulated once: the first ``grid_count`` paths on the grid,
-    the rest without.  ``rep`` must already be checked zero-mean.
+    grid=None,
+    grid_count: int = 0,
+) -> IncrementBatch:
+    """Exact per-block increments of ``count`` paths and, given ``grid``,
+    the trajectory values of the first ``grid_count`` of them on it.
 
-    The coarse-step guard runs as those two run it, in this order: over
-    all ``count * depth`` blocks, then over the grid paths' blocks.
+    Every path is simulated once, in path order, and path m draws only
+    from the streams keyed by (cfg.seed, m): the increments, angles and
+    counters do not depend on the grid, and ``values`` (None without a
+    grid) are those of ``simulate_grid_batch(rep, grid, grid_count, cfg)``.
+    Raises StepTooCoarse when at least 1% of all simulated euler blocks
+    exited in fewer than the minimum number of steps, and then when 1% of
+    the grid paths' blocks did.
     """
+    if not 0 <= grid_count <= count:
+        raise ValueError("grid_count must lie between 0 and count")
+    verify_zero_sections(rep).require_zero()
     root = compile_disk(rep)
-    per_block = None if grid is None else _grid_by_block(grid, rep.depth)
+    per_block = None if grid is None else _grid_by_block(np.asarray(grid, dtype=float), rep.depth)
     head = _simulate_range(rep, root, cfg, 0, grid_count, per_block)
     tail = _simulate_range(rep, root, cfg, grid_count, count)
-    coarse = head.coarse + tail.coarse
+    coarse = head.coarse_blocks + tail.coarse_blocks
     _coarse_guard(coarse, count * rep.depth)
-    _coarse_guard(head.coarse, grid_count * rep.depth)
-    batch = IncrementBatch(
+    _coarse_guard(head.coarse_blocks, head.total_blocks)
+    return IncrementBatch(
         increments=_stack(head.increments, tail.increments),
-        exit_angles=_stack(head.angles, tail.angles),
+        exit_angles=_stack(head.exit_angles, tail.exit_angles),
+        exit_times=None if tail.exit_times is None else _stack(head.exit_times, tail.exit_times),
+        values=head.values,
         restarts=head.restarts + tail.restarts,
         coarse_blocks=coarse,
         total_blocks=count * rep.depth,
         seed=cfg.seed,
         scheme=cfg.scheme,
     )
-    return batch, head.values
+
+
+def simulate_grid_batch(
+    rep: CellRepresentation, grid, count: int, cfg: BrownianConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Trajectory values on a common grid for many paths: the (values
+    (count, len(grid), dim), increments (count, depth, dim), restarts) of
+    ``simulate_increments(rep, count, cfg, grid, count)``."""
+    batch = simulate_increments(rep, count, cfg, grid, count)
+    return batch.values, batch.increments, batch.restarts
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def make_value(coords) -> Value:
-    """Coerce a sequence of numbers or 'p/q' strings into an exact Value."""
-    return tuple(Fraction(c) for c in coords)
-
-
 def fmt_value(v: Value) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
@@ -217,22 +212,23 @@ def joint_law(p: FiniteProcess, part: slice = slice(None)) -> PathLaw:
                 steps[key][2] += br.prob
             else:
                 steps[key] = [key[0], br.child, br.prob]
+        # where heads repeat, paths merge into the dict as they are made
+        merged = {} if len({head for head, _, _ in steps.values()}) < len(steps) else None
         paths, probs = [], []
         for head, child, prob in steps.values():
             if child is None:
-                paths.append(head)
-                probs.append(prob)
-                continue
-            below = laws[id(child)]
-            tails, qs = (below.keys(), below.values()) if isinstance(below, dict) else below
-            paths += [head + tail for tail in tails]
-            probs += [prob * q for q in qs]
-        out = (paths, probs)
-        if len({head for head, _, _ in steps.values()}) < len(steps):
-            out = {}
-            for path, q in zip(paths, probs):
-                out[path] = out.get(path, ZERO) + q
-        laws[id(node)] = out
+                tails, qs = ((),), (ONE,)
+            else:
+                below = laws[id(child)]
+                tails, qs = (below.keys(), below.values()) if isinstance(below, dict) else below
+            if merged is None:
+                paths += [head + tail for tail in tails]
+                probs += [prob * q for q in qs]
+            else:
+                for tail, q in zip(tails, qs):
+                    path = head + tail
+                    merged[path] = merged.get(path, ZERO) + prob * q
+        laws[id(node)] = (paths, probs) if merged is None else merged
     out = laws[id(p.root)]
     return out if isinstance(out, dict) else dict(zip(*out))
 

@@ -17,7 +17,6 @@ from canonrep import (
     are_tangent,
     build_transport,
     canonical_representation,
-    construct_ci_copy,
     decoupling_ratio,
     harmonic_measure,
     interleave_paths,
@@ -112,7 +111,7 @@ def test_criterion_3_decoupled_copy():
             seed=rng.randrange(10**9),
         )
         r = canonical_representation(p)
-        pq = pair_law(construct_ci_copy(r))
+        pq = pair_law(r)
         assert are_tangent(pq).ok
         assert satisfies_ci(pq, 1).ok
         first, second = _component_marginals(pq)
@@ -141,7 +140,7 @@ def test_criterion_4_transport():
                 rng.randint(1, 3), rng.randint(1, 3), 1,
                 seed=rng.randrange(10**9),
             )
-            pq = pair_law(construct_ci_copy(canonical_representation(p)))
+            pq = pair_law(canonical_representation(p))
         base = canonical_representation(pq.process)
         maps = build_transport(pq, base)
         for tm in maps:
@@ -161,7 +160,7 @@ def test_criterion_4_transport():
 def test_criterion_5_interleaved_identities():
     """Exact pathwise recovery of both sums from the interleaved sequence."""
     rep = represent_mds(random_dyadic_mds(3, 2, 1, seed=20260105))
-    batch = sample_paths(construct_ci_copy(rep), 100_000, seed=515)
+    batch = sample_paths(rep, 100_000, seed=515)
     r = interleave_paths(batch)
     sum_d, sum_e = recover_sums(r)
     ok = np.array_equal(sum_d, batch.direct.sum(axis=1)) and np.array_equal(

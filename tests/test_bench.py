@@ -14,7 +14,6 @@ from canonrep import (
     NotMartingaleDifference,
     SizeGuard,
     canonical_representation,
-    construct_ci_copy,
     decoupling_ratio,
     exact_moment_ratio,
     interleave_paths,
@@ -44,20 +43,20 @@ def coin_rep():
 def test_sampling_deterministic(coin_rep):
     a = sample_paths(coin_rep, 50, seed=4)
     b = sample_paths(coin_rep, 50, seed=4)
-    assert np.array_equal(a.paths, b.paths)
+    assert np.array_equal(a.direct, b.direct)
     assert a.generator.startswith("numpy.philox4x64")
 
 
 def test_sampling_seek_by_index(coin_rep):
     full = sample_paths(coin_rep, 20, seed=8)
     solo = sample_paths(coin_rep, 1, seed=8)
-    assert np.array_equal(solo.paths[0], full.paths[0])
+    assert np.array_equal(solo.direct[0], full.direct[0])
 
 
 def test_empirical_mean_clt_bound(coin_rep):
     m = 100_000
     batch = sample_paths(coin_rep, m, seed=2)
-    mean = batch.paths[:, 0, 0].mean()
+    mean = batch.direct[:, 0, 0].mean()
     assert abs(mean) <= 4.0 / math.sqrt(m)  # variance is exactly 1
 
 
@@ -80,9 +79,9 @@ def test_pair_batch_marginal_chi_square():
     rep = represent_mds(p)
     rng = Random(2)
     seed = rng.randrange(10**9)
-    batch = sample_paths(construct_ci_copy(rep), 100_000, seed=seed)
+    batch = sample_paths(rep, 100_000, seed=seed)
     if _marginal_chi_square(batch.direct, rep).p_value <= 0.01:
-        batch = sample_paths(construct_ci_copy(rep), 100_000,
+        batch = sample_paths(rep, 100_000,
                              seed=rng.randrange(10**9))
         assert _marginal_chi_square(batch.direct, rep).p_value > 0.01
 
@@ -92,7 +91,7 @@ def test_pair_batch_both_marginals_chi_square_independent_source():
 
     p = random_independent_process(2, 3, 1, seed=62, mds=True)
     rep = represent_mds(p)
-    batch = sample_paths(construct_ci_copy(rep), 100_000, seed=14)
+    batch = sample_paths(rep, 100_000, seed=14)
     assert _marginal_chi_square(batch.direct, rep).p_value > 0.01
     assert _marginal_chi_square(batch.decoupled, rep).p_value > 0.01
 
@@ -137,7 +136,7 @@ def test_recover_all_zero():
 
 def test_recovery_exact_on_dyadic_fixture():
     rep = represent_mds(random_dyadic_mds(3, 2, 1, seed=3))
-    batch = sample_paths(construct_ci_copy(rep), 5000, seed=11)
+    batch = sample_paths(rep, 5000, seed=11)
     r = interleave_paths(batch)
     sd, se = recover_sums(r)
     assert np.array_equal(sd, batch.direct.sum(axis=1))
@@ -149,7 +148,7 @@ def test_recovery_exact_on_dyadic_fixture():
 
 def test_lp_norm_single_coin(coin_rep):
     batch = sample_paths(coin_rep, 1000, seed=5)
-    est, se = lp_norm(batch.paths.sum(axis=1), 2)
+    est, se = lp_norm(batch.direct.sum(axis=1), 2)
     assert est == 1.0 and se == 0.0  # |+-1|^2 = 1 exactly
 
 
@@ -189,7 +188,7 @@ def test_lp_norm_second_moment_additivity():
     rep = represent_mds(p)
     _, me, md = exact_moment_ratio(rep, 2)
     batch = sample_paths(rep, 50_000, seed=6)
-    est, se = lp_norm(batch.paths.sum(axis=1), 2)
+    est, se = lp_norm(batch.direct.sum(axis=1), 2)
     assert abs(est**2 - float(md)) <= 5 * (2 * est * se + se**2 + 1e-12)
 
 

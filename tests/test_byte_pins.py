@@ -17,7 +17,6 @@ from click.testing import CliRunner
 
 from canonrep import (
     BrownianConfig,
-    construct_ci_copy,
     random_process,
     represent_mds,
     sample_paths,
@@ -53,10 +52,12 @@ def _cfg(scheme):
 
 def _library_case(name, rep):
     if name == "sample_paths":
+        # pinned when a direct-only sample drew depth uniforms per path; the
+        # pair batch's direct half has its bytes
         batch = sample_paths(rep, 500, seed=3)
-        return _sha(batch.paths, batch.seed, batch.source)
+        return _sha(batch.direct, batch.seed, batch.source)
     if name == "sample_paths_pair":
-        batch = sample_paths(construct_ci_copy(rep), 500, seed=3)
+        batch = sample_paths(rep, 500, seed=3)
         return _sha(batch.direct, batch.decoupled, batch.seed, batch.source)
     scheme = name.rsplit("-", 1)[1]
     count = 300 if scheme == "exit_sample" else 6
@@ -206,9 +207,9 @@ def _loop_exit_sample(rep, grid, count, seed):
 )
 def test_walk_matches_per_path_loops(depth, branching, dim, seed):
     rep = represent_mds(random_process(depth, branching, dim, seed=seed, mds=True))
-    single = sample_paths(rep, 400, seed=seed)
-    assert single.paths.tobytes() == _loop_sample(rep, 400, seed, False)[0].tobytes()
-    pair = sample_paths(construct_ci_copy(rep), 400, seed=seed)
+    # the direct half has the bytes of a walk that draws no copy uniforms
+    pair = sample_paths(rep, 400, seed=seed)
+    assert pair.direct.tobytes() == _loop_sample(rep, 400, seed, False)[0].tobytes()
     direct, copy = _loop_sample(rep, 400, seed, True)
     assert pair.direct.tobytes() == direct.tobytes()
     assert pair.decoupled.tobytes() == copy.tobytes()
@@ -224,18 +225,19 @@ def test_walk_matches_per_path_loops(depth, branching, dim, seed):
 def test_one_pass_batch_matches_both_samplers(pin_rep, scheme):
     # skorohod's single pass: grid values for the first paths, increments
     # for all, each path simulated once, in path order
-    from canonrep.embedding import _simulate_batch
-
     count, grid_count = (500, 200) if scheme == "exit_sample" else (7, 3)
     cfg = _cfg(scheme)
-    batch, values = _simulate_batch(pin_rep, count, cfg, GRID, grid_count)
+    batch = simulate_increments(pin_rep, count, cfg, GRID, grid_count)
     alone = simulate_increments(pin_rep, count, cfg)
     assert batch.increments.tobytes() == alone.increments.tobytes()
     assert batch.exit_angles.tobytes() == alone.exit_angles.tobytes()
+    if scheme == "euler":
+        assert batch.exit_times.tobytes() == alone.exit_times.tobytes()
     assert (batch.restarts, batch.coarse_blocks, batch.total_blocks) == (
         alone.restarts, alone.coarse_blocks, alone.total_blocks)
     grid_values, _, _ = simulate_grid_batch(pin_rep, GRID, grid_count, cfg)
-    assert values.tobytes() == grid_values.tobytes()
+    assert batch.values.tobytes() == grid_values.tobytes()
+    assert alone.values is None
 
 
 # ---------------------------------------------------------------------------

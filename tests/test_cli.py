@@ -569,6 +569,34 @@ def test_bench_rejects_representation_of_wrong_depth(runner, tmp_path, mutate):
     assert not out.exists()
 
 
+# four euler paths are too few for the chi-square gate, which exits 3
+# after the simulation
+@pytest.mark.parametrize("scheme, samples, code", [("exit_sample", 300, 0), ("euler", 4, 3)])
+def test_skorohod_simulates_through_simulate_increments_once(
+        runner, tmp_path, monkeypatch, scheme, samples, code):
+    # one public call simulates every path, the grid paths included, so a
+    # wrapper of simulate_increments sees the whole simulation
+    from canonrep import embedding
+
+    calls = []
+    real = embedding.simulate_increments
+
+    def counting(rep, count, cfg, grid=None, grid_count=0):
+        calls.append((count, None if grid is None else len(grid), grid_count))
+        return real(rep, count, cfg, grid, grid_count)
+
+    monkeypatch.setattr(embedding, "simulate_increments", counting)
+    p_path = _gen(runner, tmp_path)
+    res = runner.invoke(
+        main,
+        ["skorohod", "--in", str(p_path), "--scheme", scheme, "--samples", str(samples),
+         "--seed", "5", "--grid", "2", "--csv", str(tmp_path / "f.csv"),
+         "--out", str(tmp_path / "s.json")],
+    )
+    assert res.exit_code == code, res.output
+    assert calls == [(samples, 4, samples)]
+
+
 # ---------------------------------------------------------------------------
 # skorohod guards
 

@@ -46,7 +46,7 @@ def test_phi_sanity():
 # ---------------------------------------------------------------------------
 # config validation
 
-def test_config_validation():
+def test_config_validation(mds_rep):
     with pytest.raises(ValueError):
         BrownianConfig(dt_base=0.0)
     with pytest.raises(ValueError):
@@ -56,6 +56,9 @@ def test_config_validation():
             BrownianConfig(dt_base=bad)
         with pytest.raises(ValueError):
             BrownianConfig(phi_cap=bad)
+    for grid_count in (-1, 4):  # more grid paths than paths, or fewer than none
+        with pytest.raises(ValueError, match="grid_count"):
+            simulate_increments(mds_rep, 3, BrownianConfig(), [0.5], grid_count)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from canonrep import (
     FormatError,
     build_transport,
     canonical_representation,
-    construct_ci_copy,
     independent_coupling,
     joint_law,
     law_of_representation,
@@ -204,7 +203,7 @@ def _distinct_nodes(node) -> int:
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_pair_law_sharing_survives_json(depth):
     rep = represent_mds(random_process(depth, 4, 1, seed=depth + 20, mds=True))
-    built = pair_law(construct_ci_copy(rep))
+    built = pair_law(rep)
     doc = json.loads(json.dumps(pair_process_to_json(built)))
     loaded = pair_process_from_json(doc)
     assert loaded == built
@@ -218,7 +217,7 @@ def test_pair_law_sharing_survives_json(depth):
 def test_process_json_round_trip_is_exact(seed):
     p = random_process(3, 3, 2, seed=seed, mds=seed % 2 == 0)
     rep = canonical_representation(p)
-    for q in (p, pair_law(construct_ci_copy(rep)).process):
+    for q in (p, pair_law(rep).process):
         doc = json.loads(json.dumps(process_to_json(q)))
         assert process_to_json(process_from_json(doc)) == doc
 
@@ -243,7 +242,7 @@ def test_interning_keys_on_values_not_spelling():
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_representation_bytes_ignore_sharing(depth):
     rep = represent_mds(random_process(depth, 4, 1, seed=10 + depth, mds=True))
-    shared = pair_law(construct_ci_copy(rep)).process
+    shared = pair_law(rep).process
     flat = FiniteProcess(shared.dimension, shared.depth, unshared(shared.root))
     got = representation_to_json(canonical_representation(shared))
     want = representation_to_json(canonical_representation(flat))
@@ -321,7 +320,7 @@ def test_dump_json_refuses_what_json_dump_refuses(tmp_path):
 def _tree_documents(depth, seed):
     p = random_process(depth, 4, 1, seed=seed, mds=True)
     rep = canonical_representation(p)
-    pq = pair_law(construct_ci_copy(rep))
+    pq = pair_law(rep)
     steps = canonical_representation(random_independent_process(depth, 4, 1, seed=seed))
     return {
         "process": process_to_json(p),
@@ -353,7 +352,7 @@ def test_dump_json_memory_stays_near_json_dump(tmp_path):
     """Streaming keeps the writer's peak at that of json.dump, which holds
     only the open containers; text kept per shared node would not."""
     rep = canonical_representation(random_process(5, 4, 1, seed=31, mds=True))
-    doc = pair_process_to_json(pair_law(construct_ci_copy(rep)))
+    doc = pair_process_to_json(pair_law(rep))
     _json_dump(doc, tmp_path / "want.json")
     assert (tmp_path / "want.json").stat().st_size >= 400_000
     want = _traced_peak(_json_dump, doc, tmp_path / "want.json")

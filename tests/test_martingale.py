@@ -10,7 +10,6 @@ from canonrep import (
     NotMartingaleDifference,
     are_tangent,
     canonical_representation,
-    construct_ci_copy,
     independent_coupling,
     joint_law,
     law_of_representation,
@@ -94,23 +93,8 @@ def test_zero_sections_random_mds():
 # ---------------------------------------------------------------------------
 # decoupled copy
 
-def test_ci_copy_single_step(fair_coin):
-    d = construct_ci_copy(represent_mds(fair_coin))
-    u, v = d.evaluate_pair([F(1, 4)], [F(3, 4)])
-    assert u == ((F(-1),),)
-    assert v == ((F(1),),)
-
-
-def test_ci_copy_history_driven_by_x(sign_flip):
-    d = construct_ci_copy(canonical_representation(sign_flip))
-    u, v = d.evaluate_pair([F(1, 4), F(1, 4)], [F(3, 4), F(3, 4)])
-    assert u == ((F(-1),), (F(-1),))
-    # copy's second step reads the node selected by x_1 = 1/4 (first cell)
-    assert v == ((F(1),), (F(1),))
-
-
 def test_pair_law_fair_coin(fair_coin):
-    pq = pair_law(construct_ci_copy(represent_mds(fair_coin)))
+    pq = pair_law(represent_mds(fair_coin))
     law = joint_law(pq.process)
     assert len(law) == 4
     assert all(p == F(1, 4) for p in law.values())
@@ -118,13 +102,13 @@ def test_pair_law_fair_coin(fair_coin):
 
 def test_pair_law_deterministic():
     p = FiniteProcess(1, 1, leaf((v1(0), F(1))))
-    pq = pair_law(construct_ci_copy(canonical_representation(p)))
+    pq = pair_law(canonical_representation(p))
     assert joint_law(pq.process) == {((F(0), F(0)),): F(1)}
 
 
 def test_pair_law_sign_flip_marginals(sign_flip):
     r = canonical_representation(sign_flip)
-    pq = pair_law(construct_ci_copy(r))
+    pq = pair_law(r)
     law = joint_law(pq.process)
     assert len(law) == 16
     d = pq.component_dim
@@ -145,7 +129,7 @@ def test_pair_law_tangent_and_ci_random():
         p = random_process(
             rng.randint(1, 3), rng.randint(1, 4), 1, seed=rng.randrange(10**9)
         )
-        pq = pair_law(construct_ci_copy(canonical_representation(p)))
+        pq = pair_law(canonical_representation(p))
         assert are_tangent(pq).ok
         assert satisfies_ci(pq, 1).ok
 
@@ -158,7 +142,7 @@ def test_pair_law_has_one_pair_node_per_distinct_base_node():
             canonical_representation(random_dyadic_mds(3, 2, 1, seed=seed))))
         pair_of: dict[int, Node] = {}  # id of each base node -> its pair node
         prefixes = 0
-        stack = [(r.root, pair_law(construct_ci_copy(r)).process.root)]
+        stack = [(r.root, pair_law(r).process.root)]
         while stack:
             node, pair_node = stack.pop()
             prefixes += 1
@@ -172,8 +156,8 @@ def test_pair_law_has_one_pair_node_per_distinct_base_node():
         shared_somewhere |= len(pair_of) < prefixes
         # the law is that of the same pair tree with nothing shared
         expanded = CellRepresentation(r.dimension, r.depth, unshared(r.root))
-        assert joint_law(pair_law(construct_ci_copy(r)).process) == joint_law(
-            pair_law(construct_ci_copy(expanded)).process)
+        assert joint_law(pair_law(r).process) == joint_law(
+            pair_law(expanded).process)
     assert shared_somewhere
 
 
@@ -184,7 +168,7 @@ def test_direct_marginal_always_source_law():
             rng.randint(1, 3), rng.randint(1, 4), 1, seed=rng.randrange(10**9)
         )
         r = canonical_representation(p)
-        pq = pair_law(construct_ci_copy(r))
+        pq = pair_law(r)
         d = pq.component_dim
         marg = {}
         for path, prob in joint_law(pq.process).items():
@@ -202,7 +186,7 @@ def test_both_marginals_for_independent_step_sources():
             rng.randint(1, 3), rng.randint(1, 4), 1, seed=rng.randrange(10**9)
         )
         r = canonical_representation(p)
-        pq = pair_law(construct_ci_copy(r))
+        pq = pair_law(r)
         d = pq.component_dim
         m_copy = {}
         for path, prob in joint_law(pq.process).items():
@@ -218,7 +202,7 @@ def test_copy_is_mds_under_pair_filtration():
             rng.randint(1, 3), rng.randint(1, 4), 1,
             seed=rng.randrange(10**9), mds=True,
         )
-        pq = pair_law(construct_ci_copy(represent_mds(p)))
+        pq = pair_law(represent_mds(p))
         assert component_conditional_means(pq, 0).ok
         assert component_conditional_means(pq, 1).ok
 
@@ -234,7 +218,7 @@ def _first_component(pq):
 
 def _decoupled_law_of_first(pq):
     rep = canonical_representation(_first_component(pq))
-    return joint_law(pair_law(construct_ci_copy(rep)).process)
+    return joint_law(pair_law(rep).process)
 
 
 def test_tangent_ci_pairs_have_the_decoupled_copy_law():
@@ -245,8 +229,8 @@ def test_tangent_ci_pairs_have_the_decoupled_copy_law():
         p = random_independent_process(depth, k, 1, s)
         rep = canonical_representation(p)
         coupled = independent_coupling(rep, rep)
-        decoupled = pair_law(construct_ci_copy(canonical_representation(
-            random_process(depth, k, 1, s))))
+        decoupled = pair_law(canonical_representation(
+            random_process(depth, k, 1, s)))
         for pq in (coupled, decoupled):
             assert are_tangent(pq).ok and satisfies_ci(pq, 1).ok
             assert joint_law(pq.process) == _decoupled_law_of_first(pq)

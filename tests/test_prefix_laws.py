@@ -27,7 +27,6 @@ from canonrep import (
     build_transport,
     canonical_representation,
     conditional_law,
-    construct_ci_copy,
     coordinate_recovery,
     is_mds,
     iter_prefix_laws,
@@ -311,7 +310,7 @@ def _pairs(n=25, seed=7):
         generic = PairProcess(random_process(depth, branching, 2, s), 1)
         tangent = random_tangent_pair(depth, branching, 1, s)
         mds = represent_mds(random_process(depth, branching, 1, s, mds=True))
-        decoupled = pair_law(construct_ci_copy(mds))
+        decoupled = pair_law(mds)
         coarse = PairProcess(_coarsen(random_process(depth, branching, 2, s)), 1)
         identical = pair_from_identical(random_process(depth, branching, 1, s, mds=True))
         lifted = _behind_zero(random_process(depth, branching, 1, s))
@@ -575,7 +574,7 @@ def test_transport_consistency_unknown_history_raises():
 
 def test_distinct_nodes_lists_each_node_once_children_first():
     rep = represent_mds(random_process(4, 3, 1, seed=5, mds=True))
-    pair = pair_law(construct_ci_copy(rep)).process
+    pair = pair_law(rep).process
     read_back = process_from_json(process_to_json(pair))  # interns equal subtrees
     for root in (pair.root, read_back.root):
         nodes = distinct_nodes(root)

@@ -16,7 +16,6 @@ from canonrep import (
     are_tangent,
     canonical_representation,
     conditional_law,
-    construct_ci_copy,
     is_mds,
     joint_law,
     pair_from_identical,
@@ -172,7 +171,7 @@ def _joint_law_inputs():
         depth, k, dim = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
         p = random_process(depth, k, dim, rng.randrange(10**9))
         shared = process_from_json(process_to_json(p))
-        pair = pair_law(construct_ci_copy(canonical_representation(p))).process
+        pair = pair_law(canonical_representation(p)).process
         out += [p, shared, pair, process_from_json(process_to_json(pair))]
     out.append(random_independent_process(3, 3, 2, 5))
     return out
@@ -266,13 +265,13 @@ def test_tangent_reflexive(sign_flip):
 
 
 def test_tangent_symmetric(sign_flip):
-    pq = pair_law(construct_ci_copy(canonical_representation(sign_flip)))
+    pq = pair_law(canonical_representation(sign_flip))
     assert are_tangent(pq).ok
     assert are_tangent(swap_components(pq)).ok
 
 
 def test_tangent_decoupled_copy(sign_flip):
-    pq = pair_law(construct_ci_copy(canonical_representation(sign_flip)))
+    pq = pair_law(canonical_representation(sign_flip))
     assert are_tangent(pq).ok
 
 
@@ -287,7 +286,7 @@ def _distinct_nodes(node, seen=None):
 
 def test_swap_and_identical_keep_shared_nodes():
     rep = canonical_representation(random_process(4, 4, 1, seed=3, mds=True))
-    pq = pair_law(construct_ci_copy(rep))
+    pq = pair_law(rep)
     swapped = swap_components(pq)
     assert _distinct_nodes(swapped.process.root) == _distinct_nodes(pq.process.root) == 12
     assert joint_law(swap_components(swapped).process) == joint_law(pq.process)
@@ -312,7 +311,7 @@ def test_not_tangent_with_witness(fair_coin):
 # condition (C.I.)
 
 def test_ci_decoupled_copy(sign_flip):
-    pq = pair_law(construct_ci_copy(canonical_representation(sign_flip)))
+    pq = pair_law(canonical_representation(sign_flip))
     assert satisfies_ci(pq, 1).ok
 
 
@@ -328,7 +327,7 @@ def test_ci_fails_for_pathwise_copy_dependent(copy_chain):
 
 def test_ci_single_step_independent_pair(fair_coin):
     # one step, components independent: single factor, trivially decoupled
-    pq = pair_law(construct_ci_copy(canonical_representation(fair_coin)))
+    pq = pair_law(canonical_representation(fair_coin))
     assert pq.process.depth == 1
     assert satisfies_ci(pq, 1).ok
     assert satisfies_ci(pq, 0).ok
@@ -337,7 +336,7 @@ def test_ci_single_step_independent_pair(fair_coin):
 def test_ci_random_decoupled_copies():
     for seed in range(6):
         p = random_process(3, 3, 1, seed=100 + seed)
-        pq = pair_law(construct_ci_copy(canonical_representation(p)))
+        pq = pair_law(canonical_representation(p))
         assert satisfies_ci(pq, 1).ok, seed
 
 
@@ -359,23 +358,21 @@ def test_public_names_are_exactly_these():
         # process
         "Branch", "CheckResult", "FiniteProcess", "Node", "PairProcess", "Value",
         "are_tangent", "conditional_law", "is_mds", "iter_prefix_laws",
-        "joint_law", "make_value", "pair_from_identical", "satisfies_ci",
+        "joint_law", "pair_from_identical", "satisfies_ci",
         "swap_components", "validate_process",
         # representation
         "CellRepresentation", "Interval", "canonical_representation",
         "cell_bounds", "coordinate_recovery", "evaluate",
         "law_of_representation",
         # martingale
-        "DecoupledRepresentation", "construct_ci_copy", "pair_law",
-        "represent_mds", "verify_zero_sections",
+        "pair_law", "represent_mds", "verify_zero_sections",
         # transport
         "SectionTransport", "TransportMap", "build_transport",
         "independent_coupling", "verify_measure_preserving",
         "verify_transport_consistency",
         # bench
-        "PairSampleBatch", "SampleBatch", "decoupling_ratio",
-        "exact_moment_ratio", "interleave_paths", "lp_norm", "recover_sums",
-        "sample_paths",
+        "PairSampleBatch", "decoupling_ratio", "exact_moment_ratio",
+        "interleave_paths", "lp_norm", "recover_sums", "sample_paths",
         # harmonic
         "harmonic_extension", "harmonic_measure",
         # embedding

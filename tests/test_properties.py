@@ -15,7 +15,6 @@ from canonrep import (
     Node,
     are_tangent,
     canonical_representation,
-    construct_ci_copy,
     coordinate_recovery,
     evaluate,
     is_mds,
@@ -143,7 +142,7 @@ def test_zero_mean_sections_property(p):
 @settings(max_examples=30, deadline=None)
 @given(processes(max_depth=2))
 def test_decoupled_copy_property(p):
-    pq = pair_law(construct_ci_copy(canonical_representation(p)))
+    pq = pair_law(canonical_representation(p))
     assert are_tangent(pq).ok
     assert satisfies_ci(pq, 1).ok
 

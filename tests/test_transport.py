@@ -15,7 +15,6 @@ from canonrep import (
     XOutOfRange,
     build_transport,
     canonical_representation,
-    construct_ci_copy,
     independent_coupling,
     pair_from_identical,
     pair_law,
@@ -86,7 +85,7 @@ def test_transport_consistency_on_decoupled_pairs():
     for _ in range(6):
         p = random_process(rng.randint(1, 3), rng.randint(1, 3), 1,
                            seed=rng.randrange(10**9))
-        pq = pair_law(construct_ci_copy(canonical_representation(p)))
+        pq = pair_law(canonical_representation(p))
         base = canonical_representation(pq.process)
         maps = build_transport(pq, base)
         assert all(verify_measure_preserving(tm).ok for tm in maps)
@@ -237,13 +236,13 @@ def _layout_pairs(rng, trials):
         rep = canonical_representation(p)
         kind = trial % 5
         if kind == 0:
-            yield pair_law(construct_ci_copy(rep))
+            yield pair_law(rep)
         elif kind == 1:
             yield random_tangent_pair(depth, branching, dim, seed=seed)
         elif kind == 2:
             yield pair_from_identical(p)
         elif kind == 3:
-            yield swap_components(pair_law(construct_ci_copy(rep)))
+            yield swap_components(pair_law(rep))
         else:  # tangent when every history has the same step law
             rep = canonical_representation(random_independent_process(depth, branching, dim, seed))
             yield independent_coupling(rep, rep)
@@ -363,7 +362,7 @@ def test_consistency_sweep_agrees_with_sampled_reference():
             pq = random_tangent_pair(depth, branching, dim, seed=seed)
         else:
             p = random_process(depth, branching, dim, seed=seed)
-            pq = pair_law(construct_ci_copy(canonical_representation(p)))
+            pq = pair_law(canonical_representation(p))
         base = canonical_representation(pq.process)
         maps = build_transport(pq, base)
         d = pq.component_dim
@@ -569,7 +568,7 @@ _EDITS = ("shift target", "shorten source", "shorten target", "shorten both",
 def test_measure_check_matches_fraction_reference(seed, decoupled, edits, data):
     if decoupled:
         p = random_process(2, 4, 1, seed=seed, mds=True)
-        pq = pair_law(construct_ci_copy(canonical_representation(p)))
+        pq = pair_law(canonical_representation(p))
     else:
         pq = random_tangent_pair(2, 4, 1, seed=seed)
     maps = build_transport(pq)
@@ -627,7 +626,7 @@ def test_measure_check_beyond_64_bit_grid():
 
 def _decoupled_maps(seed):
     p = random_process(4, 3, 1, seed=seed, mds=True)
-    return build_transport(pair_law(construct_ci_copy(canonical_representation(p))))
+    return build_transport(pair_law(canonical_representation(p)))
 
 
 def test_measure_check_visits_each_shared_pairs_tuple_once(monkeypatch):
