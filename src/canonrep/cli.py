@@ -307,7 +307,8 @@ def _parse_grid(grid_arg: str, depth: int, rows: int) -> np.ndarray:
 @click.option("--grid", default="4", show_default=True,
               help="Points per block, or comma-separated absolute times.")
 @click.option("--dt", type=float, default=5e-5, show_default=True,
-              callback=_finite_above(0))
+              callback=_finite_above(0),
+              help="Finest euler step, in block time; steps far from the circle are longer.")
 @click.option("--cap", type=float, default=1e4, show_default=True,
               callback=_finite_above(0),
               help="Censoring horizon for the time change.")

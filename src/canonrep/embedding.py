@@ -16,22 +16,31 @@ Two schemes:
   law (uniform from the center), one uniform per block from the path's
   master stream.  O(depth) per path.  Grid values between integer times
   are the start-of-block sums (intra-block dynamics are not simulated).
-* ``euler``: discretized Brownian paths on a uniform grid in block
-  time, with per-step variance taken from the time change.  Boundary
-  crossing is resolved by linear interpolation of the crossing step and
-  projection onto the circle.  Blocks that never exit before the time
-  change exceeds ``phi_cap`` are censored: they restart with a fresh
-  sub-stream and are counted in the report.
+* ``euler``: Brownian paths in Gaussian steps of adaptive length, all
+  blocks of a chunk of paths at once.  A step's inner-time variance is
+  that of one ``dt_base`` step of block time under the time change, or
+  ``(d / KAPPA)**2`` at distance d from the circle if larger, so steps
+  are fine only near the circle.  A step exits where it crosses the
+  circle, or where the Brownian bridge over it would have crossed the
+  tangent line (a test on one uniform), and the exit point is projected
+  onto the circle.  A grid time reads the position at the last multiple
+  of ``dt_base`` at or before it, drawn from the Brownian bridge over the
+  step that contains it, so the grid leaves the exits unchanged.  Blocks
+  that never exit before the time change exceeds ``phi_cap`` are
+  censored: they restart with a fresh sub-stream and are counted in the
+  report.
 
-Randomness: path m owns the counter-based stream keyed by (seed, m);
-the euler scheme carves it into per-block sub-streams, so any path can
-be regenerated in isolation and paths may run concurrently.
+Randomness: path m owns the counter-based streams keyed by (seed, m).
+The euler scheme gives each block and attempt a sub-stream, whose
+Philox block k drives step k, and each block one more for its grid
+positions, so any path can be regenerated in isolation and paths may run
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,12 +49,18 @@ from .errors import NoDiskExit, SizeGuard, StepTooCoarse, XOutOfRange
 from .harmonic import TAU, DiskNode, compile_disk, harmonic_extension, walk_uniforms
 from .martingale import verify_zero_sections
 from .representation import CellRepresentation
-from .rng import GENERATOR_ID, path_stream, path_uniforms
+# path_stream stays importable from here; bench/spans.py wraps it in this namespace
+from .rng import _MASK64, GENERATOR_ID, _philox_blocks, path_stream, path_uniforms  # noqa: F401
 
-_CHUNK = 4096
-MIN_STEPS_BEFORE_EXIT = 1000
-MAX_STEPS_PER_BLOCK = 10**7  # one block's step arrays stay within a few hundred MiB
+KAPPA = 4.0  # far from the circle an euler step's inner-time std is 1/KAPPA of the distance to it
+MIN_STEPS_BEFORE_EXIT = 1000  # in steps of dt_base
+MAX_STEPS_PER_BLOCK = 10**7  # steps of dt_base up to the censoring horizon
 _MAX_ATTEMPTS = 64
+_PATHS_PER_CHUNK = 1 << 11  # bounds the euler state arrays, under 1 KiB per block
+_GRID_SLOTS_PER_CHUNK = 1 << 18  # bounds the grid positions and their normals
+_DRAW_STEPS = 8  # Philox blocks drawn per euler block at a time
+_REFILL_ROWS = 256  # rows whose draws are made together, bounding their scratch
+_GRID_BIT = np.uint64(1 << 63)  # set in the sub-stream of grid positions
 BOUNDARY_EPS = 0.01  # euler grid positions are pulled this far inside the circle
 MARTINGALE_BINS = 10
 
@@ -116,6 +131,7 @@ class IncrementBatch:
     seed: int
     scheme: str
     generator: str = GENERATOR_ID
+    steps: int = 0  # euler steps over all attempts, two normals each
 
 
 def _coarse_guard(coarse: int, total: int) -> None:
@@ -130,8 +146,9 @@ def _coarse_guard(coarse: int, total: int) -> None:
         )
 
 
-def _step_sigmas(cfg: BrownianConfig) -> np.ndarray:
-    """Per-step standard deviations induced by the time change."""
+def _horizon_steps(cfg: BrownianConfig) -> int:
+    """Steps of ``dt_base`` up to the censoring horizon of an euler attempt,
+    the last whole one before the time change reaches ``phi_cap``."""
     t_cap = phi_inverse(cfg.phi_cap)
     n_steps = max(int(t_cap / cfg.dt_base), 1)
     if n_steps > MAX_STEPS_PER_BLOCK:
@@ -146,77 +163,180 @@ def _step_sigmas(cfg: BrownianConfig) -> np.ndarray:
             f"where the time change is infinite",
             cap=cfg.phi_cap,
         )
-    t = np.arange(n_steps + 1) * cfg.dt_base
-    return np.sqrt(np.diff(phi(t)))
+    return n_steps
 
 
 # ---------------------------------------------------------------------------
-# one euler block
+# euler exits, all blocks of a chunk of paths at once
+
+
+def _normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two Box-Muller normals and one uniform from each 4-word Philox block
+    (words (..., 4), uniforms as numpy's doubles from the top 53 bits)."""
+    u = (words[..., :3] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    turn = TAU * u[..., 1]
+    return radius * np.cos(turn), radius * np.sin(turn), u[..., 2]
+
 
 @dataclass
-class _BlockResult:
-    angle: float
-    steps: int  # steps taken before the exit was declared
-    rel_time: float  # block-relative exit time
-    attempts: int
-    positions: dict[int, tuple[float, float]] = field(default_factory=dict)
+class _Exits:
+    angles: np.ndarray  # (rows,) exit angle in [0, 2pi)
+    rel_times: np.ndarray  # (rows,) block-relative exit time
+    attempts: np.ndarray  # (rows,) attempts, the last one successful
+    steps: int  # euler steps taken over all attempts
+    positions: Optional[np.ndarray]  # (rows, slots) complex, read only before the exit
 
 
-def _euler_block(
-    rng_factory, sigmas: np.ndarray, dt: float, wanted: list[int]
-) -> _BlockResult:
-    """Run euler attempts for one block until the motion exits the disk.
+def _euler_exits(
+    seed: int,
+    index: np.ndarray,
+    block: np.ndarray,
+    dt: float,
+    t_end: float,
+    slots: Optional[np.ndarray] = None,
+) -> _Exits:
+    """First exits from the unit disk of planar Brownian motions started at
+    the center, one per row: row i is block ``block[i]`` of path
+    ``index[i]``.
 
-    ``wanted`` are position indices (position m lives at block time m*dt)
-    to record from the successful attempt, pre-exit only.
+    Step k of attempt a draws block k of
+    ``path_stream(seed, index, block * 64 + a)``: two normals for the move
+    and one uniform for the bridge test.  A step from block time t at
+    distance d from the circle has inner-time variance
+    ``h = max(phi(t + dt) - phi(t), (d / KAPPA)**2)``, cut at ``t_end``:
+    fine near the circle, coarse far from it, and exact for Brownian
+    motion either way.  A step ends the block when it lands outside the
+    circle (exit where the segment crosses it), or when its uniform falls
+    below ``exp(-2 d0 d1 / h)``, the chance that the Brownian bridge over
+    the step crosses the tangent line (exit where the reflected bridge's
+    mean path, from d0 to -d1, crosses it).  Every rule commutes with
+    rotations, so exit angles from the center stay exactly uniform.  An
+    attempt still inside at ``t_end`` restarts on the next sub-stream.
+
+    ``slots`` (depth, k + 1) holds per block the ascending block times
+    whose positions are wanted, padded with 1.0, which no step reaches.
+    The position at slot j is drawn from the Brownian bridge over the step
+    that contains it, pinned at the slot before when that lies in the same
+    step, with the normals of block j of ``path_stream(seed, index,
+    2**63 + block * 64)``; so the exits do not depend on the slots.
+    Raises NoDiskExit when a row runs out of attempts.
     """
-    total_steps = len(sigmas)
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = rng_factory(attempt)
-        px, py = 0.0, 0.0
-        positions: dict[int, tuple[float, float]] = {}
-        for m in wanted:
-            if m == 0:
-                positions[0] = (0.0, 0.0)
-        j0 = 0
-        while j0 < total_steps:
-            j1 = min(j0 + _CHUNK, total_steps)
-            steps = rng.standard_normal((j1 - j0, 2)) * sigmas[j0:j1, None]
-            xs = px + np.cumsum(steps[:, 0])
-            ys = py + np.cumsum(steps[:, 1])
-            hit = xs * xs + ys * ys >= 1.0
-            k = int(np.argmax(hit)) if hit.any() else -1
-            limit = k if k >= 0 else j1 - j0
-            for m in wanted:
-                i = m - 1 - j0
-                if 0 <= i < limit:
-                    positions[m] = (float(xs[i]), float(ys[i]))
-            if k >= 0:
-                qx = float(xs[k - 1]) if k > 0 else px
-                qy = float(ys[k - 1]) if k > 0 else py
-                dx = float(xs[k]) - qx
-                dy = float(ys[k]) - qy
-                a = dx * dx + dy * dy
-                b = 2.0 * (qx * dx + qy * dy)
-                c0 = qx * qx + qy * qy - 1.0
-                frac = (-b + math.sqrt(b * b - 4.0 * a * c0)) / (2.0 * a)
-                ex, ey = qx + frac * dx, qy + frac * dy
-                norm = math.hypot(ex, ey)
-                angle = math.atan2(ey / norm, ex / norm) % TAU
-                steps_taken = j0 + k + 1
-                return _BlockResult(
-                    angle=angle,
-                    steps=steps_taken,
-                    rel_time=(j0 + k + frac) * dt,
-                    attempts=attempt + 1,
-                    positions=positions,
+    rows = index.size
+    angles = np.empty(rows)
+    rel_times = np.empty(rows)
+    attempts = np.empty(rows, dtype=np.int64)
+    base = block.astype(np.uint64) * np.uint64(_MAX_ATTEMPTS)
+    # each row's draws, _DRAW_STEPS steps at a time: column col[i] of row
+    # live[i] holds the draws of its step step[i]
+    draw_x = np.empty((rows, _DRAW_STEPS))
+    draw_y = np.empty((rows, _DRAW_STEPS))
+    draw_u = np.empty((rows, _DRAW_STEPS))
+    positions = None
+    if slots is not None:
+        width = slots.shape[1] - 1
+        noise_x, noise_y, _ = _normals(
+            _philox_blocks(seed, index, width, base | _GRID_BIT).reshape(rows, width, 4)
+        )
+        noise = noise_x + 1j * noise_y
+        positions = np.zeros((rows, width), dtype=complex)
+    # the rows still inside the disk, compacted as rows exit
+    live = np.arange(rows)
+    sub = base.copy()
+    step = np.zeros(rows, dtype=np.uint64)
+    col = np.full(rows, _DRAW_STEPS)
+    x = np.zeros(rows)
+    y = np.zeros(rows)
+    t = np.zeros(rows)
+    if slots is not None:
+        slot = np.zeros(rows, dtype=np.int64)
+        wanted = slots[block, 0]
+    steps = 0
+    while live.size:
+        refill = np.flatnonzero(col == _DRAW_STEPS)
+        for lo in range(0, refill.size, _REFILL_ROWS):
+            part = refill[lo:lo + _REFILL_ROWS]
+            ids = live[part]
+            words = _philox_blocks(seed, index[ids], _DRAW_STEPS, sub[part], step[part])
+            draw_x[ids], draw_y[ids], draw_u[ids] = _normals(
+                words.reshape(part.size, _DRAW_STEPS, 4)
+            )
+            col[part] = 0
+        gx = draw_x[live, col]
+        gy = draw_y[live, col]
+        gu = draw_u[live, col]
+        col += 1
+        step += np.uint64(1)
+        steps += live.size
+
+        d0 = 1.0 - np.hypot(x, y)
+        s0 = t / (1.0 - t)
+        coarse = s0 + (d0 / KAPPA) ** 2
+        t1 = np.minimum(np.maximum(t + dt, coarse / (1.0 + coarse)), t_end)
+        s1 = t1 / (1.0 - t1)
+        h = s1 - s0
+        sd = np.sqrt(h)
+        x1 = x + sd * gx
+        y1 = y + sd * gy
+        d1 = 1.0 - np.hypot(x1, y1)
+        # d1 <= 0 (outside) puts the bound at 1 or more, so that ends the block too
+        ends = gu < np.exp(-2.0 * d0 * d1 / h)
+
+        if slots is not None:
+            over = np.flatnonzero(wanted <= t1)
+            sa, za = s0[over], x[over] + 1j * y[over]
+            while over.size:
+                ids, j = live[over], slot[over]
+                sg, sb = phi(wanted[over]), s1[over]
+                w = (sg - sa) / (sb - sa)
+                za = za + w * (x1[over] + 1j * y1[over] - za) + np.sqrt(w * (sb - sg)) * noise[ids, j]
+                positions[ids, j] = za
+                sa = sg
+                slot[over] += 1
+                wanted[over] = slots[block[ids], slot[over]]
+                more = wanted[over] <= t1[over]
+                over, sa, za = over[more], sa[more], za[more]
+
+        done = np.flatnonzero(ends)
+        if done.size:
+            ids = live[done]
+            px, py = x[done], y[done]
+            dx, dy = x1[done] - px, y1[done] - py
+            qa = dx * dx + dy * dy
+            qb = 2.0 * (px * dx + py * dy)
+            qc = px * px + py * py - 1.0
+            e0, e1 = d0[done], d1[done]
+            frac = np.where(
+                e1 <= 0.0,
+                (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa),
+                e0 / (e0 + np.maximum(e1, 0.0)),
+            )
+            angles[ids] = np.arctan2(py + frac * dy, px + frac * dx) % TAU
+            t0 = t[done]
+            rel_times[ids] = t0 + frac * (t1[done] - t0)
+            attempts[ids] = (sub[done] - base[ids]).astype(np.int64) + 1
+
+        x, y, t = x1, y1, t1
+        censored = np.flatnonzero(~ends & (t1 >= t_end))
+        if censored.size:
+            sub[censored] += np.uint64(1)
+            if np.any(sub[censored] - base[live[censored]] >= _MAX_ATTEMPTS):
+                raise NoDiskExit(
+                    f"no disk exit in {_MAX_ATTEMPTS} attempts; raise phi_cap or dt_base",
+                    attempts=_MAX_ATTEMPTS,
                 )
-            px, py = float(xs[-1]), float(ys[-1])
-            j0 = j1
-    raise NoDiskExit(
-        f"no disk exit in {_MAX_ATTEMPTS} attempts; raise phi_cap or dt_base",
-        attempts=_MAX_ATTEMPTS,
-    )
+            step[censored] = 0
+            col[censored] = _DRAW_STEPS
+            x[censored] = y[censored] = t[censored] = 0.0
+            if slots is not None:
+                slot[censored] = 0
+                wanted[censored] = slots[block[live[censored]], 0]
+        if done.size:
+            keep = ~ends
+            live, sub, step, col, x, y, t = (v[keep] for v in (live, sub, step, col, x, y, t))
+            if slots is not None:
+                slot, wanted = slot[keep], wanted[keep]
+    return _Exits(angles, rel_times, attempts, steps, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +376,7 @@ def _simulate_range(
             np.empty((count, depth, dim)), np.empty((count, depth)),
             np.empty((count, depth)), values, 0, 0, count * depth, cfg.seed, cfg.scheme,
         )
-        sigmas = _step_sigmas(cfg)
-        for i in range(count):
-            _euler_path(root, cfg, sigmas, start + i, per_block, out, i)
+        _euler_range(root, cfg, start, per_block, out)
         return out
 
     us = path_uniforms(cfg.seed, start, stop, depth)
@@ -278,54 +396,70 @@ def _simulate_range(
     )
 
 
-def _euler_path(
+def _euler_range(
     root: DiskNode,
     cfg: BrownianConfig,
-    sigmas: np.ndarray,
-    path_index: int,
+    start: int,
     per_block: Optional[list[list[tuple[int, float]]]],
     out: IncrementBatch,
-    row: int,
 ) -> None:
-    """Fill row ``row`` of ``out`` with path ``path_index`` under the euler
-    scheme and add its restarts and coarse blocks to ``out``."""
-    node: Optional[DiskNode] = root
-    partial = np.zeros(out.increments.shape[2])
-    for n in range(out.increments.shape[1]):
-        wanted_rel = per_block[n] if per_block is not None else []
-        wanted = sorted(
-            {min(int(rel / cfg.dt_base), len(sigmas)) for _gi, rel in wanted_rel}
+    """Fill ``out`` with paths ``start`` onwards under the euler scheme, all
+    blocks of ``_PATHS_PER_CHUNK`` paths at a time, and add their restarts,
+    coarse blocks and steps to its counters."""
+    count, depth = out.exit_angles.shape
+    n_steps = _horizon_steps(cfg)
+    chunk, slots = _PATHS_PER_CHUNK, None
+    grid = per_block is not None and any(per_block)
+    if grid:
+        # a grid time reads the position at the last multiple of dt_base at
+        # or before it; per block the distinct ones, ascending, padded with
+        # 1.0, which no step reaches
+        marks = [[min(int(rel / cfg.dt_base), n_steps) for _gi, rel in block]
+                 for block in per_block]
+        distinct = [sorted(set(ms)) for ms in marks]
+        width = max(map(len, distinct))
+        slots = np.ones((depth, width + 1))
+        slot_of = []
+        for n, (ms, block) in enumerate(zip(distinct, marks)):
+            slots[n, :len(ms)] = np.array(ms) * cfg.dt_base
+            where = {m: j for j, m in enumerate(ms)}
+            slot_of.append([where[m] for m in block])
+        chunk = min(chunk, max(_GRID_SLOTS_PER_CHUNK // (depth * width), 1))
+    first = np.uint64(start & _MASK64)
+    cap = 1.0 - BOUNDARY_EPS
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        index = np.repeat(first + np.arange(lo, hi, dtype=np.uint64), depth)  # wraps mod 2^64
+        exits = _euler_exits(
+            cfg.seed, index, np.tile(np.arange(depth), hi - lo), cfg.dt_base,
+            n_steps * cfg.dt_base, slots,
         )
-        res = _euler_block(
-            lambda attempt, n=n: path_stream(
-                cfg.seed, path_index, sub=n * _MAX_ATTEMPTS + attempt
-            ),
-            sigmas,
-            cfg.dt_base,
-            wanted,
-        )
-        out.restarts += res.attempts - 1
-        if res.steps < MIN_STEPS_BEFORE_EXIT:
-            out.coarse_blocks += 1
-        cell = int(np.searchsorted(node.bounds, res.angle / TAU, side="right"))
-        increment = node.values[cell]
-        out.increments[row, n] = increment
-        out.exit_angles[row, n] = res.angle
-        out.exit_times[row, n] = n + res.rel_time
-        for gi, rel in wanted_rel:
-            if rel < res.rel_time:
-                m = min(int(rel / cfg.dt_base), len(sigmas))
-                px, py = res.positions[m]
-                z = complex(px, py)
-                r = abs(z)
-                cap = 1.0 - BOUNDARY_EPS
-                if r >= cap:
-                    z *= cap * (1.0 - 1e-12) / r
-                out.values[row, gi] = partial + harmonic_extension(node, z, BOUNDARY_EPS)
-            else:
-                out.values[row, gi] = partial + increment
-        partial = partial + increment
-        node = node.children[cell]
+        angles = exits.angles.reshape(hi - lo, depth)
+        rel = exits.rel_times.reshape(hi - lo, depth)
+        out.increments[lo:hi], _ = walk_uniforms(root, angles / TAU)
+        out.exit_angles[lo:hi] = angles
+        out.exit_times[lo:hi] = rel + np.arange(depth)
+        out.restarts += int(exits.attempts.sum()) - exits.attempts.size
+        out.coarse_blocks += int(np.count_nonzero(rel / cfg.dt_base < MIN_STEPS_BEFORE_EXIT))
+        out.steps += exits.steps
+        if not grid:
+            continue
+        positions = exits.positions.reshape(hi - lo, depth, width)
+        for i in range(hi - lo):
+            node, partial = root, np.zeros(out.increments.shape[2])
+            for n, block in enumerate(per_block):
+                increment = out.increments[lo + i, n]
+                for (gi, t), j in zip(block, slot_of[n]):
+                    if t < rel[i, n]:
+                        z = complex(positions[i, n, j])
+                        r = abs(z)
+                        if r >= cap:
+                            z *= cap * (1.0 - 1e-12) / r
+                        out.values[lo + i, gi] = partial + harmonic_extension(node, z, BOUNDARY_EPS)
+                    else:
+                        out.values[lo + i, gi] = partial + increment
+                partial = partial + increment
+                node = node.children[int(np.searchsorted(node.bounds, angles[i, n] / TAU, side="right"))]
 
 
 def simulate_F(
@@ -410,6 +544,7 @@ def simulate_increments(
         total_blocks=count * rep.depth,
         seed=cfg.seed,
         scheme=cfg.scheme,
+        steps=head.steps + tail.steps,
     )
 
 

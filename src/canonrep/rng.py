@@ -6,10 +6,12 @@ One sample path gets the 128-bit key (seed, path index); sub-streams
 (per block, per retry) park the third counter word, which spaces them
 2^128 draws apart inside the same keystream.
 
-``path_uniforms`` computes the leading uniforms of many paths at once
-with a vectorized Philox4x64-10 (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11) that reproduces numpy's ``Philox``
-byte for byte, so ``GENERATOR_ID`` names numpy's generator for both.
+``_philox_blocks`` is a vectorized Philox4x64-10 (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) that reproduces
+numpy's ``Philox`` byte for byte: for many rows at once it computes any
+run of blocks of any sub-stream.  ``path_uniforms`` reads the leading
+uniforms of many paths from it, and the euler embedding its steps'
+draws, so ``GENERATOR_ID`` names numpy's generator for all of them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ _ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
-_ROWS_PER_CHUNK = 1 << 11  # bounds the kernel's scratch arrays
+_ROWS_PER_CHUNK = 1 << 11  # bounds path_uniforms' word arrays
+_BLOCKS_PER_PASS = 1 << 12  # bounds the kernel's scratch arrays
 
 
 def path_stream(seed: int, index: int = 0, sub: int = 0) -> np.random.Generator:
@@ -54,24 +57,38 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, m * x
 
 
-def _philox_blocks(seed: int, index: np.ndarray, blocks: int) -> np.ndarray:
-    """(len(index), 4 * blocks) uint64 words: row i holds the first
-    ``blocks`` output blocks of numpy's ``Philox`` keyed by
-    (seed, index[i]) with a zero counter.  numpy increments the counter
-    before its first block, so block b runs on counter (b + 1, 0, 0, 0)."""
+def _philox_blocks(
+    seed: int, index: np.ndarray, blocks: int, sub=0, first=0
+) -> np.ndarray:
+    """(len(index), 4 * blocks) uint64 words: row i holds output blocks
+    ``first[i]`` to ``first[i] + blocks - 1`` of
+    ``path_stream(seed, index[i], sub[i])``, numpy's ``Philox`` keyed by
+    (seed, index[i]) with counter (0, 0, sub[i], 0).  ``sub`` and
+    ``first`` are uint64 and broadcast against ``index``.  numpy
+    increments the counter before each block, so block b runs on counter
+    (b + 1, 0, sub, 0), carrying into the second word when b + 1 wraps."""
+    out = np.empty((index.size, blocks, 4), dtype=np.uint64)
+    step = np.arange(1, blocks + 1, dtype=np.uint64)
+    first = np.broadcast_to(np.asarray(first, dtype=np.uint64), index.shape)
+    sub = np.broadcast_to(np.asarray(sub, dtype=np.uint64), index.shape)
+    rows = max(_BLOCKS_PER_PASS // max(blocks, 1), 1)
     with np.errstate(over="ignore"):
-        k0 = np.uint64(seed & _MASK64)
-        k1 = index[:, None]
-        c0 = np.broadcast_to(
-            np.arange(1, blocks + 1, dtype=np.uint64), (index.size, blocks)
-        )
-        c1 = c2 = c3 = np.zeros_like(c0)
-        for _ in range(_ROUNDS):
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0, k1 = k0 + _W0, k1 + _W1
-        return np.stack([c0, c1, c2, c3], axis=-1).reshape(index.size, 4 * blocks)
+        for lo in range(0, index.size, rows):
+            part = slice(lo, lo + rows)
+            k0 = np.uint64(seed & _MASK64)
+            k1 = index[part, None]
+            c0 = first[part, None] + step
+            c1 = (c0 < step).astype(np.uint64)
+            c2 = sub[part, None]
+            c3 = np.zeros_like(c0)
+            for _ in range(_ROUNDS):
+                hi0, lo0 = _mulhilo(_M0, c0)
+                hi1, lo1 = _mulhilo(_M1, c2)
+                c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+                k0, k1 = k0 + _W0, k1 + _W1
+            for w, c in enumerate((c0, c1, c2, c3)):
+                out[part, :, w] = c
+    return out.reshape(index.size, 4 * blocks)
 
 
 def path_uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:

@@ -73,6 +73,8 @@ def _library_case(name, rep):
                 path.seed, path.path_index)
 
 
+# the euler pins were re-recorded when adaptive steps with a bridge-crossing
+# test on the vectorized Philox kernel replaced the fixed-step numpy normals
 LIBRARY_PINS = {
     "sample_paths":
         "28bb7361027d7c886be5df599bd2927c746c81c0c01298b7407ed7e99b6b4cc5",
@@ -81,15 +83,15 @@ LIBRARY_PINS = {
     "simulate_increments-exit_sample":
         "cc83d741abba136d063a4d1544cbdea276dd74d0507ad3e004df2fc6bfe69ff3",
     "simulate_increments-euler":
-        "97c4e5217c7a1ddb837f8d465f546190c21577afeb5bffba5c9610c0b5f826af",
+        "dc7920af216b3b01240108dad39fdbfa4dd98e21b0eef527919bfd65788d17d0",
     "simulate_grid_batch-exit_sample":
         "468d8e50b9055c3e9a9d7defd298dcc8e11cdee9f9cb3dbe6b964dae352d133a",
     "simulate_grid_batch-euler":
-        "a0af745feebde7fa37969592c3635123ad48cc956eba84a2d605395500d92f6c",
+        "bc5aff91786eea969eb1db1b95d41a91420a2b2f423e27fdfd8fe4eed9e9dc4f",
     "simulate_F-exit_sample":
         "f957affc26d0d88fa1a3f19c5ef13b64d1164fc5aa64f04eb542dc453ed7f272",
     "simulate_F-euler":
-        "5e50256204a9f61c1350618691ae31420a9ea46bab9dbad5dd30c8b047f8984a",
+        "5c0d4297fd7b67384eed9355f52341fcc772bf8e392418ce651cf9e738cfba02",
 }
 
 
@@ -101,6 +103,13 @@ def pin_rep():
 @pytest.mark.parametrize("name", sorted(LIBRARY_PINS))
 def test_library_sampler_bytes(pin_rep, name):
     assert _library_case(name, pin_rep) == LIBRARY_PINS[name]
+
+
+def test_euler_draws_few_normals_per_block(pin_rep):
+    # the fixed-step scheme drew about 16,400 normals per block (two 4,096-step
+    # chunks of two); every euler step draws two
+    b = simulate_increments(pin_rep, 6, _cfg("euler"))
+    assert 0 < 2 * b.steps * 30 <= 16_400 * b.total_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +138,9 @@ CLI_PINS = {
         "5e6cd715af62ef1c7592b46a10dbe0f3b36252dda3708470629c882d22754ad4",
     "skorohod-exit_sample-10003":
         "72c89f636362747b1d88130360c7f7ddd6efead68316933f929a32f2d96549f0",
-    # re-recorded when stats.chi2_sf replaced scipy's chi-square tail: the
-    # report's chi_square.p_value moved by one ulp, 0.3524462527380766 to
-    # 0.3524462527380765, and no other byte changed
+    # re-recorded with the library's euler pins
     "skorohod-euler-40":
-        "5a563b79d2f3a358d90ce60a06b0c47d3b6486f167efc8e3088daf5e246f4a76",
+        "d106e427632096fb132185b59d10a0a9deeb56c19196b37444c86946cfc4bb46",
 }
 
 

@@ -123,11 +123,16 @@ def test_deterministic_zero_process_embeds_to_zero():
     assert np.all(path.increments == 0.0)
 
 
-@pytest.mark.parametrize("scheme, count", [("exit_sample", 200), ("euler", 6)])
-def test_grid_batch_matches_simulate_f(mds_rep, monkeypatch, scheme, count):
+@pytest.mark.parametrize("scheme, count, cap", [
+    pytest.param("exit_sample", 200, 1e4, id="exit_sample-200"),
+    pytest.param("euler", 6, 1e4, id="euler-6"),
+    # about two attempts in three reach the cap and restart
+    pytest.param("euler", 6, 0.3, id="euler-6-restarts"),
+])
+def test_grid_batch_matches_simulate_f(mds_rep, monkeypatch, scheme, count, cap):
     from canonrep import embedding
 
-    cfg = BrownianConfig(seed=17, scheme=scheme, dt_base=5e-5)
+    cfg = BrownianConfig(seed=17, scheme=scheme, dt_base=5e-5, phi_cap=cap)
     grid = np.array([0.2, 0.5, 0.8, 1.2, 1.5, 1.8])
     paths = [simulate_F(mds_rep, grid, cfg, path_index=m) for m in range(count)]
     checks = []
@@ -143,6 +148,27 @@ def test_grid_batch_matches_simulate_f(mds_rep, monkeypatch, scheme, count):
     assert np.array_equal(values, np.stack([p.values for p in paths]))
     assert np.array_equal(increments, np.stack([p.increments for p in paths]))
     assert restarts == sum(p.restarts for p in paths)
+    assert (restarts > 0) == (cap < 1)
+
+
+def test_euler_rows_match_a_shifted_range_across_chunks(mds_rep):
+    # the batch runs its paths in chunks; any range of paths, simulated on
+    # its own, has the rows it has inside the batch, restarts included
+    from canonrep import embedding
+    from canonrep.harmonic import compile_disk
+
+    cfg = BrownianConfig(seed=23, scheme="euler", phi_cap=0.3)
+    grid = np.array([0.2, 0.5, 1.2, 1.8])
+    count = embedding._PATHS_PER_CHUNK + 3
+    batch = simulate_increments(mds_rep, count, cfg, grid, count)
+    start = count - 6  # three paths on each side of the chunk edge
+    shifted = embedding._simulate_range(
+        mds_rep, compile_disk(mds_rep), cfg, start, count,
+        embedding._grid_by_block(grid, mds_rep.depth),
+    )
+    assert batch.restarts > 0 and shifted.restarts > 0
+    for name in ("increments", "exit_angles", "exit_times", "values"):
+        assert getattr(batch, name)[start:].tobytes() == getattr(shifted, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +221,28 @@ def test_euler_exit_angles_uniform(mds_rep):
     angles = batch.exit_angles.ravel()
     counts, _ = np.histogram(angles, bins=8, range=(0.0, TAU))
     assert chi_square_gof(counts, np.full(8, 1 / 8)).p_value > 0.01
+
+
+def test_euler_exit_time_law(mds_rep):
+    # the exit angles are uniform at any step size, so no chi-square test of
+    # the increments sees the steps; the exit times do.  From the center,
+    # P(tau > s) = sum_k 2 / (j_k J_1(j_k)) exp(-j_k^2 s / 2) over the zeros
+    # j_k of J_0, and a block exits at time tau / (1 + tau)
+    from scipy import special, stats
+
+    batch = simulate_increments(mds_rep, 10_000, BrownianConfig(seed=101, scheme="euler"))
+    rel = (batch.exit_times - np.arange(mds_rep.depth)).ravel()
+    assert rel.size >= 20_000
+    zeros = special.jn_zeros(0, 60)
+    weights = 2.0 / (zeros * special.j1(zeros))
+
+    def cdf(t):
+        s = np.asarray(t) / (1.0 - np.asarray(t))
+        return 1.0 - np.exp(-np.multiply.outer(s, zeros**2) / 2.0) @ weights
+
+    assert stats.kstest(rel, cdf).pvalue > 0.01
+    se = rel.std(ddof=1) / math.sqrt(rel.size)
+    assert abs(rel.mean() - 0.303845) <= 5 * se
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,23 @@ def test_kernel_words_match_random_raw(seed):
         key = np.array([seed & (2**64 - 1), int(i)], dtype=np.uint64)
         ref = np.random.Philox(key=key, counter=np.zeros(4, dtype=np.uint64))
         assert row.tobytes() == ref.random_raw(8).tobytes()
+
+
+@no_warnings
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+@pytest.mark.parametrize("per_pass", [3, 6, 4096])  # the kernel runs this many blocks at a time
+def test_kernel_words_match_sub_streams_from_any_block(monkeypatch, seed, per_pass):
+    # per-row sub-streams (the euler step streams and, with bit 63 set, the
+    # grid streams) and first blocks, across the path index wrap and the
+    # counter's carry from its first word into its second
+    from canonrep import rng
+
+    monkeypatch.setattr(rng, "_BLOCKS_PER_PASS", per_pass)
+    index = np.array([0, 5, 2**64 - 1, 3, 9, 2**64 - 2], dtype=np.uint64)
+    sub = np.array([0, 1, 63, 64, 2**63 + 130, 2**64 - 1], dtype=np.uint64)
+    first = np.array([0, 3, 17, 2**64 - 2, 1, 2**64 - 1], dtype=np.uint64)
+    words = _philox_blocks(seed, index, 3, sub, first)
+    for row, i, s, f in zip(words, index, sub, first):
+        ref = path_stream(seed, int(i), int(s)).bit_generator
+        ref.advance(int(f))
+        assert row.tobytes() == ref.random_raw(12).tobytes(), (i, s, f)
