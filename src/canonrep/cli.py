@@ -15,6 +15,7 @@ import csv
 import functools
 import math
 import sys
+from collections import Counter
 
 import click
 import numpy as np
@@ -88,7 +89,8 @@ def _finite_above(bound: float):
 
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
-        click.echo(message)
+        # with no file, click caches a wrapper that keeps each new sys.stdout alive
+        click.echo(message, file=sys.stdout)
 
 
 @click.group()
@@ -254,11 +256,11 @@ def bench(
                 + [f"sum_direct_{i}" for i in range(dim)]
                 + [f"sum_decoupled_{i}" for i in range(dim)]
             )
-            for m in range(samples):
-                writer.writerow(
-                    [m] + [repr(float(v)) for v in sums_d[m]]
-                    + [repr(float(v)) for v in sums_e[m]]
-                )
+            # csv writes a float as its repr; a part at a time boxes few floats
+            sums = np.hstack([sums_d, sums_e])
+            for lo in range(0, samples, 256):
+                part = sums[lo:lo + 256].tolist()
+                writer.writerows([lo + i] + row for i, row in enumerate(part))
     _say(quiet, f"ratio {report.ratio:.6f} +- {report.stderr:.6f} "
                 f"(p={p_norm:g}, M={samples}, exact="
                 f"{'none' if report.exact_ratio is None else f'{report.exact_ratio:.6f}'})")
@@ -392,9 +394,9 @@ def skorohod(
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["path", "t"] + [f"F_{i}" for i in range(rep.dimension)])
-            for m in range(min(batch.values.shape[0], 100)):
-                for t, row in zip(times, batch.values[m]):
-                    writer.writerow([m, repr(float(t))] + [repr(float(v)) for v in row])
+            ts = times.tolist()
+            for m, path in enumerate(batch.values[:100]):
+                writer.writerows([m, t] + row for t, row in zip(ts, path.tolist()))
     if svg_path is not None:
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(trajectories_svg(times, batch.values[:20, :, 0]))
@@ -413,21 +415,25 @@ def skorohod(
 
 
 def increment_chi_square(rep, increments: np.ndarray):
-    """Chi-square of sampled increment paths against the exact path law."""
+    """Chi-square of sampled increment paths against the exact path law.
+
+    Paths are grouped by their bytes, so distinct rationals rounding to
+    identical floats share a category; a sampled path outside the law
+    raises KeyError."""
     law = sorted(law_of_representation(rep).items())
-    keys = {}
-    probs = []
+    category: dict[bytes, int] = {}
+    probs: list[float] = []
     for path, prob in law:
-        arr = np.array([[float(c) for c in v] for v in path])
-        key = arr.tobytes()
-        if key in keys:  # distinct rationals rounding to identical floats
-            probs[keys[key]] += float(prob)
+        key = np.array([[float(c) for c in v] for v in path]).tobytes()
+        if key in category:  # distinct rationals rounding to identical floats
+            probs[category[key]] += float(prob)
         else:
-            keys[key] = len(probs)
+            category[key] = len(probs)
             probs.append(float(prob))
+    data, width = np.ascontiguousarray(increments).tobytes(), len(key)
     counts = np.zeros(len(probs))
-    for m in range(increments.shape[0]):
-        counts[keys[np.ascontiguousarray(increments[m]).tobytes()]] += 1
+    for key, n in Counter(data[i:i + width] for i in range(0, len(data), width)).items():
+        counts[category[key]] += n
     return chi_square_gof(counts, np.array(probs))
 
 

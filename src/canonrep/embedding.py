@@ -34,7 +34,9 @@ Randomness: path m owns the counter-based streams keyed by (seed, m).
 The euler scheme gives each block and attempt a sub-stream, whose
 Philox block k drives step k, and each block one more for its grid
 positions, so any path can be regenerated in isolation and paths may run
-concurrently.
+concurrently.  Live blocks draw ahead together, more steps as fewer
+remain, without changing a byte; the bytes depend on numpy's SIMD
+kernels for log1p, exp and arctan2.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from .errors import NoDiskExit, SizeGuard, StepTooCoarse, XOutOfRange
 from .harmonic import TAU, DiskNode, compile_disk, harmonic_extension, walk_uniforms
 from .martingale import verify_zero_sections
 from .representation import CellRepresentation
+from .rng import _BLOCKS_PER_PASS, _MASK64, GENERATOR_ID, _philox_passes, path_uniforms
 # path_stream stays importable from here; bench/spans.py wraps it in this namespace
-from .rng import _MASK64, GENERATOR_ID, _philox_blocks, path_stream, path_uniforms  # noqa: F401
+from .rng import path_stream  # noqa: F401
 
 KAPPA = 4.0  # far from the circle an euler step's inner-time std is 1/KAPPA of the distance to it
 MIN_STEPS_BEFORE_EXIT = 1000  # in steps of dt_base
@@ -58,8 +61,8 @@ MAX_STEPS_PER_BLOCK = 10**7  # steps of dt_base up to the censoring horizon
 _MAX_ATTEMPTS = 64
 _PATHS_PER_CHUNK = 1 << 11  # bounds the euler state arrays, under 1 KiB per block
 _GRID_SLOTS_PER_CHUNK = 1 << 18  # bounds the grid positions and their normals
-_DRAW_STEPS = 8  # Philox blocks drawn per euler block at a time
-_REFILL_ROWS = 256  # rows whose draws are made together, bounding their scratch
+_DRAW_STEPS = 4  # fewest Philox blocks drawn per live euler block at a time
+_MAX_DRAW_STEPS = 64  # most Philox blocks drawn per live euler block at a time
 _GRID_BIT = np.uint64(1 << 63)  # set in the sub-stream of grid positions
 BOUNDARY_EPS = 0.01  # euler grid positions are pulled this far inside the circle
 MARTINGALE_BINS = 10
@@ -170,13 +173,25 @@ def _horizon_steps(cfg: BrownianConfig) -> int:
 # euler exits, all blocks of a chunk of paths at once
 
 
-def _normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two Box-Muller normals and one uniform from each 4-word Philox block
-    (words (..., 4), uniforms as numpy's doubles from the top 53 bits)."""
-    u = (words[..., :3] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
-    turn = TAU * u[..., 1]
-    return radius * np.cos(turn), radius * np.sin(turn), u[..., 2]
+def _normals(w0, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two Box-Muller normals and one uniform (numpy's doubles from the top
+    53 bits) from three words of Philox blocks, in place to bound scratch."""
+    radius, turn, u = ((w >> np.uint64(11)).astype(np.float64) * 2.0**-53 for w in (w0, w1, w2))
+    np.sqrt(np.log1p(np.negative(radius, out=radius), out=radius) * -2.0, out=radius)
+    turn *= TAU
+    x = np.cos(turn)
+    x *= radius
+    np.sin(turn, out=turn)
+    turn *= radius
+    return x, turn, u
+
+
+def _draw(seed: int, index: np.ndarray, blocks: int, sub, first, out: np.ndarray) -> None:
+    """``out[:, c, i]`` <- ``_normals`` of Philox block ``first[i] + c``,
+    c < blocks, of ``path_stream(seed, index[i], sub[i])``."""
+    for part, words in _philox_passes(seed, index, blocks, sub, first):
+        for plane, v in zip(out, _normals(*words[:3])):
+            plane[:, part] = v
 
 
 @dataclass
@@ -227,64 +242,54 @@ def _euler_exits(
     rel_times = np.empty(rows)
     attempts = np.empty(rows, dtype=np.int64)
     base = block.astype(np.uint64) * np.uint64(_MAX_ATTEMPTS)
-    # each row's draws, _DRAW_STEPS steps at a time: column col[i] of row
-    # live[i] holds the draws of its step step[i]
-    draw_x = np.empty((rows, _DRAW_STEPS))
-    draw_y = np.empty((rows, _DRAW_STEPS))
-    draw_u = np.empty((rows, _DRAW_STEPS))
     positions = None
     if slots is not None:
-        width = slots.shape[1] - 1
-        noise_x, noise_y, _ = _normals(
-            _philox_blocks(seed, index, width, base | _GRID_BIT).reshape(rows, width, 4)
-        )
-        noise = noise_x + 1j * noise_y
-        positions = np.zeros((rows, width), dtype=complex)
-    # the rows still inside the disk, compacted as rows exit
-    live = np.arange(rows)
-    sub = base.copy()
-    step = np.zeros(rows, dtype=np.uint64)
-    col = np.full(rows, _DRAW_STEPS)
-    x = np.zeros(rows)
-    y = np.zeros(rows)
-    t = np.zeros(rows)
-    if slots is not None:
+        n_slots = slots.shape[1] - 1
+        draws = np.empty((3, n_slots, rows))  # freed by the first refill
+        _draw(seed, index, n_slots, base | _GRID_BIT, 0, draws)
+        noise = (draws[0] + 1j * draws[1]).T
+        positions = np.zeros((rows, n_slots), dtype=complex)
         slot = np.zeros(rows, dtype=np.int64)
         wanted = slots[block, 0]
+    # the rows still inside the disk, compacted as rows exit, with their
+    # position, block time, distance to the circle and inner time
+    live = np.arange(rows)
+    sub = base.copy()
+    x, y, t, s = np.zeros(rows), np.zeros(rows), np.zeros(rows), np.zeros(rows)
+    d = np.ones(rows)
+    # draws[k, c, at[i]] holds row live[i]'s draw k for its step step[i] + c;
+    # every row reads column col, and all are refilled in place when it runs out
+    step = np.zeros(rows, dtype=np.uint64)
+    col = width = 0
+    buffer = np.empty((3, max(_DRAW_STEPS * rows, _BLOCKS_PER_PASS)))
     steps = 0
     while live.size:
-        refill = np.flatnonzero(col == _DRAW_STEPS)
-        for lo in range(0, refill.size, _REFILL_ROWS):
-            part = refill[lo:lo + _REFILL_ROWS]
-            ids = live[part]
-            words = _philox_blocks(seed, index[ids], _DRAW_STEPS, sub[part], step[part])
-            draw_x[ids], draw_y[ids], draw_u[ids] = _normals(
-                words.reshape(part.size, _DRAW_STEPS, 4)
-            )
-            col[part] = 0
-        gx = draw_x[live, col]
-        gy = draw_y[live, col]
-        gu = draw_u[live, col]
+        if col == width:
+            step += np.uint64(col)
+            width = min(max(_DRAW_STEPS, _BLOCKS_PER_PASS // live.size), _MAX_DRAW_STEPS)
+            draws = buffer[:, :width * live.size].reshape(3, width, live.size)
+            _draw(seed, index[live], width, sub, step, draws)
+            at = np.arange(live.size)
+            col = 0
+        gx, gy, gu = draws[:, col].take(at, axis=1)
         col += 1
-        step += np.uint64(1)
         steps += live.size
 
-        d0 = 1.0 - np.hypot(x, y)
-        s0 = t / (1.0 - t)
-        coarse = s0 + (d0 / KAPPA) ** 2
+        coarse = s + (d / KAPPA) ** 2
         t1 = np.minimum(np.maximum(t + dt, coarse / (1.0 + coarse)), t_end)
         s1 = t1 / (1.0 - t1)
-        h = s1 - s0
+        h = s1 - s
         sd = np.sqrt(h)
         x1 = x + sd * gx
         y1 = y + sd * gy
         d1 = 1.0 - np.hypot(x1, y1)
         # d1 <= 0 (outside) puts the bound at 1 or more, so that ends the block too
-        ends = gu < np.exp(-2.0 * d0 * d1 / h)
+        ends = gu < np.exp(-2.0 * d * d1 / h)
 
         if slots is not None:
             over = np.flatnonzero(wanted <= t1)
-            sa, za = s0[over], x[over] + 1j * y[over]
+            if over.size:
+                sa, za = s[over], x[over] + 1j * y[over]
             while over.size:
                 ids, j = live[over], slot[over]
                 sg, sb = phi(wanted[over]), s1[over]
@@ -305,7 +310,7 @@ def _euler_exits(
             qa = dx * dx + dy * dy
             qb = 2.0 * (px * dx + py * dy)
             qc = px * px + py * py - 1.0
-            e0, e1 = d0[done], d1[done]
+            e0, e1 = d[done], d1[done]
             frac = np.where(
                 e1 <= 0.0,
                 (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa),
@@ -316,8 +321,8 @@ def _euler_exits(
             rel_times[ids] = t0 + frac * (t1[done] - t0)
             attempts[ids] = (sub[done] - base[ids]).astype(np.int64) + 1
 
-        x, y, t = x1, y1, t1
-        censored = np.flatnonzero(~ends & (t1 >= t_end))
+        x, y, t, d, s = x1, y1, t1, d1, s1
+        censored = np.flatnonzero(~ends & (t1 >= t_end)) if t1.max() >= t_end else done[:0]
         if censored.size:
             sub[censored] += np.uint64(1)
             if np.any(sub[censored] - base[live[censored]] >= _MAX_ATTEMPTS):
@@ -325,15 +330,20 @@ def _euler_exits(
                     f"no disk exit in {_MAX_ATTEMPTS} attempts; raise phi_cap or dt_base",
                     attempts=_MAX_ATTEMPTS,
                 )
+            # a restart draws from step 0 of its next sub-stream: refill now
+            step += np.uint64(col)
             step[censored] = 0
-            col[censored] = _DRAW_STEPS
-            x[censored] = y[censored] = t[censored] = 0.0
+            col = width = 0
+            x[censored] = y[censored] = t[censored] = s[censored] = 0.0
+            d[censored] = 1.0
             if slots is not None:
                 slot[censored] = 0
                 wanted[censored] = slots[block[live[censored]], 0]
         if done.size:
             keep = ~ends
-            live, sub, step, col, x, y, t = (v[keep] for v in (live, sub, step, col, x, y, t))
+            live, sub, step, at, x, y, t, d, s = (
+                v[keep] for v in (live, sub, step, at, x, y, t, d, s)
+            )
             if slots is not None:
                 slot, wanted = slot[keep], wanted[keep]
     return _Exits(angles, rel_times, attempts, steps, positions)
@@ -351,6 +361,16 @@ def _grid_by_block(grid: np.ndarray, depth: int) -> list[list[tuple[int, float]]
         n = min(int(t), depth - 1)
         per_block[n].append((i, t - n))
     return per_block
+
+
+def _block_sums(increments: np.ndarray) -> np.ndarray:
+    """(paths, depth + 1, dim) start-of-block sums of (paths, depth, dim)
+    increments, accumulated from zero as (0 + x_1) + x_2 + ..., so the bytes
+    match a per-path running sum, signed zeros included."""
+    sums = np.zeros((increments.shape[0], increments.shape[1] + 1, increments.shape[2]))
+    for n in range(increments.shape[1]):
+        sums[:, n + 1] = sums[:, n] + increments[:, n]
+    return sums
 
 
 def _simulate_range(
@@ -382,14 +402,10 @@ def _simulate_range(
     us = path_uniforms(cfg.seed, start, stop, depth)
     increments, _ = walk_uniforms(root, us)
     if per_block is not None:
-        # start-of-block sums for all paths at once, accumulated from zero
-        # as (0 + x_1) + x_2 + ..., so the bytes match a per-path running
-        # sum, signed zeros included
-        partial = np.zeros((count, dim))
+        sums = _block_sums(increments)
         for n, block in enumerate(per_block):
             for gi, _rel in block:
-                values[:, gi] = partial
-            partial = partial + increments[:, n]
+                values[:, gi] = sums[:, n]
     return IncrementBatch(
         increments, np.multiply(us, TAU, out=us), None, values, 0, 0, count * depth,
         cfg.seed, cfg.scheme,
@@ -436,7 +452,8 @@ def _euler_range(
         )
         angles = exits.angles.reshape(hi - lo, depth)
         rel = exits.rel_times.reshape(hi - lo, depth)
-        out.increments[lo:hi], _ = walk_uniforms(root, angles / TAU)
+        visited = [] if grid else None
+        out.increments[lo:hi], _ = walk_uniforms(root, angles / TAU, visited=visited)
         out.exit_angles[lo:hi] = angles
         out.exit_times[lo:hi] = rel + np.arange(depth)
         out.restarts += int(exits.attempts.sum()) - exits.attempts.size
@@ -444,22 +461,26 @@ def _euler_range(
         out.steps += exits.steps
         if not grid:
             continue
+        # after the block's exit a grid time reads the block's end sum; before
+        # it, the start sum plus the extension at the position, at the node
+        sums = _block_sums(out.increments[lo:hi])
+        values = out.values[lo:hi]
+        for n, block in enumerate(per_block):
+            for gi, _t in block:
+                values[:, gi] = sums[:, n + 1]
         positions = exits.positions.reshape(hi - lo, depth, width)
-        for i in range(hi - lo):
-            node, partial = root, np.zeros(out.increments.shape[2])
-            for n, block in enumerate(per_block):
-                increment = out.increments[lo + i, n]
-                for (gi, t), j in zip(block, slot_of[n]):
-                    if t < rel[i, n]:
-                        z = complex(positions[i, n, j])
-                        r = abs(z)
-                        if r >= cap:
-                            z *= cap * (1.0 - 1e-12) / r
-                        out.values[lo + i, gi] = partial + harmonic_extension(node, z, BOUNDARY_EPS)
-                    else:
-                        out.values[lo + i, gi] = partial + increment
-                partial = partial + increment
-                node = node.children[int(np.searchsorted(node.bounds, angles[i, n] / TAU, side="right"))]
+        for node, idx, n in visited:
+            for (gi, t), j in zip(per_block[n], slot_of[n]):
+                pre = idx[t < rel[idx, n]]
+                if not pre.size:
+                    continue
+                ext = []
+                for z in positions[pre, n, j].tolist():
+                    r = abs(z)
+                    if r >= cap:
+                        z *= cap * (1.0 - 1e-12) / r
+                    ext.append(harmonic_extension(node, z, BOUNDARY_EPS))
+                values[pre, gi] = sums[pre, n] + ext
 
 
 def simulate_F(

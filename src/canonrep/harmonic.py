@@ -37,17 +37,18 @@ class DiskNode:
 
     ``bounds`` are the interior cell ends (search them with ``side="right"``
     for the half-open cells), ``angles`` all cell ends times 2*pi (cell i
-    is the arc from ``angles[i]`` to ``angles[i + 1]``), ``values`` holds
-    one row per cell and ``children`` the compiled sub-partitions (None at
-    the last level).
+    is the arc from ``angles[i]`` to ``angles[i + 1]``) and ``points``
+    their points on the unit circle, ``values`` holds one row per cell and
+    ``children`` the compiled sub-partitions (None at the last level).
     """
 
-    __slots__ = ("bounds", "angles", "values", "children")
+    __slots__ = ("bounds", "angles", "points", "values", "children")
 
     def __init__(self, node: Node, children: list[Optional[DiskNode]]):
         ends = cell_bounds(node)
         self.bounds = np.array([float(c) for c in ends[1:-1]])
         self.angles = tuple(TAU * float(c) for c in ends)
+        self.points = tuple(cmath.exp(1j * a) for a in self.angles)
         self.values = np.array([[float(c) for c in br.value] for br in node.branches])
         self.children = children
 
@@ -64,7 +65,7 @@ def compile_disk(rep: CellRepresentation) -> DiskNode:
 
 
 def walk_uniforms(
-    root: DiskNode, xs: np.ndarray, ys: Optional[np.ndarray] = None
+    root: DiskNode, xs: np.ndarray, ys: Optional[np.ndarray] = None, visited: Optional[list] = None
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Cell values along the paths that uniforms drive through the tree.
 
@@ -72,9 +73,9 @@ def walk_uniforms(
     cell holding ``xs[m, k]`` and descends into that cell's child.  Row m
     of ``ys``, if given, reads the cell holding ``ys[m, k]`` at the same
     nodes (the decoupled copy).  Returns (paths, depth, dim) values for
-    ``xs`` and for ``ys`` (None without it).  All paths sitting at one
-    node are searched in one numpy call, so the Python work follows the
-    visited nodes, not the paths.
+    ``xs`` and for ``ys`` (None without it); ``visited`` gets (node, path
+    indices, level) per node.  All paths sitting at one node are searched
+    in one numpy call, so the Python work follows the nodes, not the paths.
     """
     count, depth = xs.shape
     dim = root.values.shape[1]
@@ -86,6 +87,8 @@ def walk_uniforms(
     stack = [(root, np.arange(count), 0)] if count else []
     while stack:
         node, idx, k = stack.pop()
+        if visited is not None:
+            visited.append((node, idx, k))
         cells = np.searchsorted(node.bounds, xs[idx, k], side="right")
         direct[idx, k] = node.values[cells]
         if copy is not None:
@@ -98,17 +101,22 @@ def walk_uniforms(
     return direct, copy
 
 
-def _as_complex(z) -> complex:
-    if isinstance(z, complex):
-        return z
-    if isinstance(z, (tuple, list, np.ndarray)):
-        return complex(z[0], z[1])
-    return complex(z)
+def _inside(z, boundary_eps: float) -> complex:
+    """``z`` as a complex number, refused within ``boundary_eps`` of the circle."""
+    z = complex(z[0], z[1]) if isinstance(z, (tuple, list, np.ndarray)) else complex(z)
+    r = abs(z)
+    if r >= 1.0 - boundary_eps:
+        raise TooCloseToBoundary(f"|z| = {r} within {boundary_eps} of the circle")
+    return z
 
 
-def _boundary_angle(z: complex, theta: float) -> float:
-    w = cmath.exp(1j * theta)
-    return cmath.phase((w - z) / (1.0 - z.conjugate() * w))
+def _measures(z: complex, angles, points) -> list[float]:
+    """Harmonic measures from the checked point ``z`` of the arcs between
+    ``angles`` (circle ``points``), with one phase per end."""
+    ends = [cmath.phase((w - z) / (1.0 - z.conjugate() * w)) for w in points] if z else None
+    return [1.0 if hi - lo == TAU else (hi - lo) / TAU if ends is None
+            else (ends[i + 1] - ends[i]) % TAU / TAU
+            for i, (lo, hi) in enumerate(zip(angles, angles[1:]))]
 
 
 def harmonic_measure(z, arc, boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> float:
@@ -123,23 +131,16 @@ def harmonic_measure(z, arc, boundary_eps: float = DEFAULT_BOUNDARY_EPS) -> floa
     span = hi - lo
     if span > TAU:
         raise ValueError(f"arc span {span} exceeds the full circle")
-    z = _as_complex(z)
-    r = abs(z)
-    if r >= 1.0 - boundary_eps:
-        raise TooCloseToBoundary(f"|z| = {r} within {boundary_eps} of the circle")
-    if span == TAU:
-        return 1.0
-    if r == 0.0:
-        return span / TAU
-    delta = (_boundary_angle(z, hi) - _boundary_angle(z, lo)) % TAU
-    return delta / TAU
+    z = _inside(z, boundary_eps)
+    return _measures(z, (lo, hi), (cmath.exp(1j * lo), cmath.exp(1j * hi)))[0]
 
 
 def harmonic_extension(
     node: DiskNode, z, boundary_eps: float = DEFAULT_BOUNDARY_EPS
 ) -> np.ndarray:
     """Harmonic extension of a node's boundary data at an interior point."""
+    z = _inside(z, boundary_eps)
     out = np.zeros(node.values.shape[1])
-    for lo, hi, value in zip(node.angles, node.angles[1:], node.values):
-        out += value * harmonic_measure(z, (lo, hi), boundary_eps)
+    for value, measure in zip(node.values, _measures(z, node.angles, node.points)):
+        out += value * measure
     return out

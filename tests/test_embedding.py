@@ -171,6 +171,33 @@ def test_euler_rows_match_a_shifted_range_across_chunks(mds_rep):
         assert getattr(batch, name)[start:].tobytes() == getattr(shifted, name).tobytes()
 
 
+@pytest.mark.parametrize("per_pass, max_width, kernel_pass", [
+    pytest.param(1, 1, 4096, id="one-block-at-a-time"),
+    pytest.param(1 << 20, 1 << 10, 4096, id="wide"),
+    pytest.param(1 << 12, 64, 5, id="kernel-passes-of-5"),
+])
+def test_euler_bytes_do_not_depend_on_the_draw_width(
+    mds_rep, monkeypatch, per_pass, max_width, kernel_pass
+):
+    # step k of an attempt reads Philox block k of its sub-stream however
+    # many blocks a refill draws and however the kernel splits them, with
+    # restarts (phi_cap=0.3) and grid positions
+    from canonrep import embedding, rng
+
+    cfg = BrownianConfig(seed=29, scheme="euler", phi_cap=0.3)
+    grid = np.array([0.2, 0.5, 1.2, 1.8])
+    default = simulate_increments(mds_rep, 40, cfg, grid, 30)
+    monkeypatch.setattr(embedding, "_BLOCKS_PER_PASS", per_pass)
+    monkeypatch.setattr(embedding, "_MAX_DRAW_STEPS", max_width)
+    monkeypatch.setattr(rng, "_BLOCKS_PER_PASS", kernel_pass)
+    batch = simulate_increments(mds_rep, 40, cfg, grid, 30)
+    assert default.restarts > 0
+    for name in ("increments", "exit_angles", "exit_times", "values"):
+        assert getattr(batch, name).tobytes() == getattr(default, name).tobytes()
+    assert (batch.restarts, batch.coarse_blocks, batch.steps) == (
+        default.restarts, default.coarse_blocks, default.steps)
+
+
 # ---------------------------------------------------------------------------
 # increment law
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from canonrep.rng import GENERATOR_ID, _philox_blocks, path_stream, path_uniforms
+from canonrep.rng import GENERATOR_ID, _philox_passes, path_stream, path_uniforms
 
 
 def test_generator_id_pins_name_and_version():
@@ -74,6 +74,16 @@ def test_path_uniforms_empty_range():
     assert path_uniforms(3, 5, 2, 8).shape == (0, 8)
 
 
+def _philox_blocks(seed, index, blocks, sub=0, first=0):
+    """(len(index), 4 * blocks) words: row i holds the kernel's blocks
+    ``first[i]`` onwards of sub-stream ``sub[i]`` of path ``index[i]``."""
+    out = np.empty((index.size, blocks, 4), dtype=np.uint64)
+    for part, words in _philox_passes(seed, index, blocks, sub, first):
+        for w, word in enumerate(words):
+            out[part, :, w] = word.T
+    return out.reshape(index.size, 4 * blocks)
+
+
 @no_warnings
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kernel_words_match_random_raw(seed):
@@ -87,7 +97,9 @@ def test_kernel_words_match_random_raw(seed):
 
 @no_warnings
 @pytest.mark.parametrize("seed", [0, 2**63 + 5])
-@pytest.mark.parametrize("per_pass", [3, 6, 4096])  # the kernel runs this many blocks at a time
+# the kernel runs this many blocks at a time; at 12 its six rows take a
+# pass of four and a remainder pass of two
+@pytest.mark.parametrize("per_pass", [3, 6, 12, 4096])
 def test_kernel_words_match_sub_streams_from_any_block(monkeypatch, seed, per_pass):
     # per-row sub-streams (the euler step streams and, with bit 63 set, the
     # grid streams) and first blocks, across the path index wrap and the
