@@ -35,9 +35,7 @@ from .process import (
     is_mds,
     iter_prefix_laws,
     joint_law,
-    pair_from_identical,
     satisfies_ci,
-    swap_components,
     validate_process,
 )
 from .representation import (

@@ -28,7 +28,7 @@ from .errors import DegenerateBatch, SizeGuard
 from .harmonic import compile_disk, walk_uniforms
 from .jsonio import representation_to_json
 from .martingale import verify_zero_sections
-from .process import ONE, ZERO
+from .process import ONE, ZERO, distinct_nodes
 from .representation import CellRepresentation
 # path_stream stays importable from here; bench/spans.py wraps it in this namespace
 from .rng import GENERATOR_ID, path_stream, path_uniforms  # noqa: F401
@@ -196,8 +196,8 @@ def decoupling_ratio(
     )
 
 
-# Sums the exact oracle may store, counted over all nodes: at 20-45 us per
-# sum it gives up within about 12 s, and every tree of depth <= 7,
+# Sums the exact oracle may build, each distinct node's laws counted once: at
+# 20-45 us per sum it gives up within about 12 s, and every tree of depth <= 7,
 # branching <= 4 and dimension 1 tried fits.
 MAX_ORACLE_SUMS = 2**18
 # Bits of the largest p-th power the oracle may form, p/2 times the bits of
@@ -212,15 +212,15 @@ def exact_moment_ratio(
 ) -> tuple[float, Fraction, Fraction]:
     """Exact (ratio, p-th moment of |sum e|, p-th moment of |sum d|).
 
-    One backward pass builds, at each node, the exact laws of the remaining
-    direct sum and of the remaining copy sum, merging equal sums.  The
-    copy's cell at a node is independent of the x-cell that picks the
-    child, so its law is the x-mixture of the children's copy laws
-    convolved with the node's own cell law.  p must be a positive even
-    integer so powers of Euclidean norms stay rational.  Raises SizeGuard
-    when the laws would hold more than ``MAX_ORACLE_SUMS`` sums, when a p-th
-    power would need more than ``MAX_ORACLE_BITS`` bits, or when the ratio
-    of the moments lies outside the normal float range.
+    One backward pass over the distinct nodes builds, at each, the exact
+    laws of the remaining direct sum and of the remaining copy sum, merging
+    equal sums.  The copy's cell at a node is independent of the x-cell
+    that picks the child, so its law is the x-mixture of the children's
+    copy laws convolved with the node's own cell law.  p must be a positive
+    even integer so powers of Euclidean norms stay rational.  Raises
+    SizeGuard when the laws would take more than ``MAX_ORACLE_SUMS`` sums,
+    when a p-th power would need more than ``MAX_ORACLE_BITS`` bits, or
+    when the ratio of the moments lies outside the normal float range.
     """
     if p <= 0 or p % 2:
         raise ValueError("the exact oracle needs a positive even integer p")
@@ -233,14 +233,21 @@ def exact_moment_ratio(
             t = tuple(a + b for a, b in zip(s, step))
             into[t] = into.get(t, ZERO) + weight * q
 
-    def laws(node) -> tuple[dict, dict]:
-        nonlocal stored
+    # the laws (direct sums, copy sums) below each distinct node, children
+    # first; a child's are dropped once the last node above it has read them
+    nodes = distinct_nodes(rep.root)
+    last_reader = {id(br.child): node for node in nodes for br in node.branches}
+    laws: dict[int, tuple[dict, dict]] = {}
+    for node in nodes:
         direct: dict = {}
         mixed: dict = {}  # x-mixture of the children's copy laws
         for br in node.branches:
-            sub_d, sub_e = (ended, ended) if br.child is None else laws(br.child)
+            sub_d, sub_e = (ended, ended) if br.child is None else laws[id(br.child)]
             shift(sub_d, br.value, br.prob, direct)
             shift(sub_e, origin, br.prob, mixed)
+        for br in node.branches:
+            if last_reader[id(br.child)] is node:
+                laws.pop(id(br.child), None)
         copy: dict = {}
         for br in node.branches:
             shift(mixed, br.value, br.prob, copy)
@@ -250,12 +257,12 @@ def exact_moment_ratio(
                 f"the exact oracle needs more than {MAX_ORACLE_SUMS} path sums",
                 limit=MAX_ORACLE_SUMS,
             )
-        return direct, copy
+        laws[id(node)] = direct, copy
 
     def squared_norms(law: dict) -> list:
         return [(q, sum((c * c for c in s), ZERO)) for s, q in law.items()]
 
-    norms_d, norms_e = (squared_norms(law) for law in laws(rep.root))
+    norms_d, norms_e = (squared_norms(law) for law in laws[id(rep.root)])
     bits = p // 2 * max(
         n.numerator.bit_length() + n.denominator.bit_length() for _, n in norms_d + norms_e
     )

@@ -16,6 +16,7 @@ import functools
 import math
 import sys
 from collections import Counter
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -58,17 +59,21 @@ MAX_SAMPLES = 10**7
 MAX_SECTIONS = 10**5
 
 
+def _fail(code: int, message: str) -> NoReturn:
+    # with no file, click caches a wrapper that keeps each new sys.stderr alive
+    click.echo(message, file=sys.stderr)
+    sys.exit(code)
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except FormatError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_FORMAT)
+        except (FormatError, OSError) as exc:  # OSError: an output that cannot be written
+            _fail(EXIT_FORMAT, f"error: {exc}")
         except ProcessError as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(EXIT_INVARIANT)
+            _fail(EXIT_INVARIANT, f"error: {type(exc).__name__}: {exc}")
 
     return wrapper
 
@@ -267,9 +272,7 @@ def bench(
     if report.exact_ratio is not None and (
         abs(report.ratio - report.exact_ratio) > bench_mod.CI_SIGMAS * report.stderr
     ):
-        click.echo("statistical gate failed: estimate outside 5 SE of oracle",
-                   err=True)
-        sys.exit(EXIT_STATISTICAL)
+        _fail(EXIT_STATISTICAL, "statistical gate failed: estimate outside 5 SE of oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +408,11 @@ def skorohod(
                 f"coarse_blocks={batch.coarse_blocks}, "
                 f"martingale_ok={str(mart_ok).lower()}")
     if chi.too_small:
-        click.echo(f"statistical gate failed: sample of {samples} too small for the "
-                   f"chi-square test ({chi.pooled} paths pooled into one category)",
-                   err=True)
-        sys.exit(EXIT_STATISTICAL)
+        _fail(EXIT_STATISTICAL, f"statistical gate failed: sample of {samples} too small "
+                                f"for the chi-square test ({chi.pooled} paths pooled into "
+                                "one category)")
     if chi.p_value < SIGNIFICANCE or not mart_ok:
-        click.echo("statistical gate failed", err=True)
-        sys.exit(EXIT_STATISTICAL)
+        _fail(EXIT_STATISTICAL, "statistical gate failed")
 
 
 def increment_chi_square(rep, increments: np.ndarray):

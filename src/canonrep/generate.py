@@ -44,6 +44,29 @@ def _random_value(rng: Random, dimension: int) -> Value:
     )
 
 
+def _distinct_values(rng: Random, k: int, dimension: int) -> list[Value]:
+    """``k`` distinct random values, redrawing repeats."""
+    values: list[Value] = []
+    while len(values) < k:
+        v = _random_value(rng, dimension)
+        if v not in values:
+            values.append(v)
+    return values
+
+
+def _tree(depth: int, draw) -> Node:
+    """A depth-``depth`` tree, depth first: every node's atoms are the
+    (value, prob) pairs ``draw(level)`` returns before any of its children
+    is built, and each branch's subtree is built before the next branch's."""
+
+    def build(level: int) -> Node:
+        atoms = draw(level)
+        last = level + 1 == depth
+        return Node(tuple(Branch(v, p, None if last else build(level + 1)) for v, p in atoms))
+
+    return build(0)
+
+
 def _random_node_law(
     rng: Random, branching: int, dimension: int, mds: bool
 ) -> list[tuple[Value, Fraction]]:
@@ -60,11 +83,7 @@ def _random_node_law(
     if mds and k == 1:
         values: list[Value] = [(Fraction(0),) * dimension]
     else:
-        values = []
-        while len(values) < k:
-            v = _random_value(rng, dimension)
-            if v not in values:
-                values.append(v)
+        values = _distinct_values(rng, k, dimension)
     probs = _random_probs(rng, k)
     if mds and k > 1:
         # solve the last atom coordinatewise so the mean vanishes
@@ -87,15 +106,8 @@ def random_process(
     """Random fixture; with ``mds`` every conditional mean is exactly zero."""
     _guard(depth, branching, dimension)
     rng = Random(seed)
-
-    def build(level: int) -> Node:
-        law = _random_node_law(rng, branching, dimension, mds)
-        last = level + 1 == depth
-        return Node(
-            tuple(Branch(v, p, None if last else build(level + 1)) for v, p in law)
-        )
-
-    return FiniteProcess(dimension, depth, build(0))
+    root = _tree(depth, lambda level: _random_node_law(rng, branching, dimension, mds))
+    return FiniteProcess(dimension, depth, root)
 
 
 def random_independent_process(
@@ -115,17 +127,7 @@ def random_independent_process(
     _guard(depth, branching, dimension)
     rng = Random(seed)
     levels = [_random_node_law(rng, branching, dimension, mds) for _ in range(depth)]
-
-    def build(level: int) -> Node:
-        last = level + 1 == depth
-        return Node(
-            tuple(
-                Branch(v, p, None if last else build(level + 1))
-                for v, p in levels[level]
-            )
-        )
-
-    return FiniteProcess(dimension, depth, build(0))
+    return FiniteProcess(dimension, depth, _tree(depth, lambda level: levels[level]))
 
 
 def random_tangent_pair(
@@ -144,29 +146,14 @@ def random_tangent_pair(
     _guard(depth, branching, dimension)
     rng = Random(seed)
 
-    def build(level: int) -> Node:
+    def draw(level: int) -> list[tuple[Value, Fraction]]:
         k = rng.randint(1, branching)
-        values: list[Value] = []
-        while len(values) < k:
-            v = _random_value(rng, dimension)
-            if v not in values:
-                values.append(v)
+        values = _distinct_values(rng, k, dimension)
         order = list(range(k))
         rng.shuffle(order)
-        prob = Fraction(1, k)
-        last = level + 1 == depth
-        return Node(
-            tuple(
-                Branch(
-                    values[i] + values[order[i]],
-                    prob,
-                    None if last else build(level + 1),
-                )
-                for i in range(k)
-            )
-        )
+        return [(values[i] + values[order[i]], Fraction(1, k)) for i in range(k)]
 
-    return PairProcess(FiniteProcess(2 * dimension, depth, build(0)), dimension)
+    return PairProcess(FiniteProcess(2 * dimension, depth, _tree(depth, draw)), dimension)
 
 
 def random_dyadic_mds(
@@ -193,20 +180,13 @@ def random_dyadic_mds(
             for _ in range(dimension)
         )
 
-    def build(level: int) -> Node:
+    def draw(level: int) -> list[tuple[Value, Fraction]]:
         values: list[Value] = []
         while len(values) < 2 * pair_count:
             v = dyadic_vec()
             neg = tuple(-c for c in v)
             if v not in values and neg not in values:
                 values.extend([v, neg])
-        values.sort()
-        last = level + 1 == depth
-        return Node(
-            tuple(
-                Branch(v, prob, None if last else build(level + 1))
-                for v in values
-            )
-        )
+        return [(v, prob) for v in sorted(values)]
 
-    return FiniteProcess(dimension, depth, build(0))
+    return FiniteProcess(dimension, depth, _tree(depth, draw))

@@ -250,7 +250,7 @@ def load_json(path: Union[str, Path]) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -26,11 +26,9 @@ from .errors import NotMartingaleDifference
 from .process import (
     ZERO,
     Branch,
-    CheckResult,
     FiniteProcess,
     Node,
     PairProcess,
-    _zero_mean_check,
     distinct_nodes,
     fmt_prefix,
     is_mds,
@@ -80,13 +78,13 @@ def represent_mds(p: FiniteProcess) -> CellRepresentation:
     on the way out that every section integral of the result is exactly
     zero.
     """
+    r = canonical_representation(p)  # validates p before any mean is taken
     check = is_mds(p)
     if not check.ok:
         raise NotMartingaleDifference(
             f"nonzero conditional mean at {fmt_prefix(check.witness['prefix'])}",
             **check.witness,
         )
-    r = canonical_representation(p)
     verify_zero_sections(r).require_zero()
     return r
 
@@ -112,9 +110,3 @@ def pair_law(r: CellRepresentation) -> PairProcess:
         built[id(node)] = Node(tuple(branches))
     process = FiniteProcess(2 * dim, r.depth, built[id(r.root)])
     return PairProcess(process, dim)
-
-
-def component_conditional_means(pq: PairProcess, which: int) -> CheckResult:
-    """Exact zero-mean check for one component under the pair filtration."""
-    d = pq.component_dim
-    return _zero_mean_check(pq.process, slice(None, d) if which == 0 else slice(d, None))

@@ -21,7 +21,8 @@ here applies to it.  ``is_mds``, ``are_tangent`` and
 no check enumerates the paths of a pair.  ``distinct_nodes`` lists each
 distinct node of a tree once, children first, and every pass that builds
 one result per node (``joint_law``, ``pair_law``, the compiled disk tree,
-the JSON writer) loops over it, so a tree costs per distinct node.
+the JSON writer, the exact moment oracle ``bench.exact_moment_ratio``)
+loops over it, so a tree costs per distinct node.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ class PairProcess:
                 f"pair process dimension {self.process.dimension} is not twice "
                 f"the component dimension {self.component_dim}"
             )
-
-    def split(self, v: Value) -> tuple[Value, Value]:
-        d = self.component_dim
-        return v[:d], v[d:]
 
 
 def distinct_nodes(root: Node) -> list[Node]:
@@ -233,33 +230,6 @@ def joint_law(p: FiniteProcess, part: slice = slice(None)) -> PathLaw:
     return out if isinstance(out, dict) else dict(zip(*out))
 
 
-def _prefix_class(p: FiniteProcess, prefix: ValuePath):
-    """Weighted set of tree nodes reachable by a value prefix.
-
-    Sibling branches with equal values are followed together; the returned
-    weights are conditional (they sum to one).
-    """
-    cls: list[tuple[Optional[Node], Fraction]] = [(p.root, ONE)]
-    for k, v in enumerate(prefix):
-        nxt: list[tuple[Optional[Node], Fraction]] = []
-        total = ZERO
-        for node, w in cls:
-            if node is None:
-                continue
-            for br in node.branches:
-                if br.value == v:
-                    nxt.append((br.child, w * br.prob))
-                    total += w * br.prob
-        if total == 0:
-            raise UnreachablePrefix(
-                f"prefix {fmt_prefix(prefix)} leaves the tree at step {k + 1}",
-                prefix=prefix,
-                step=k + 1,
-            )
-        cls = [(n, w / total) for n, w in nxt]
-    return cls
-
-
 def _split_class(cls, deeper: bool):
     """One pass over a prefix class: the law of the next value and, when
     ``deeper``, the class of every one-step extension by value.
@@ -319,25 +289,23 @@ def conditional_law(p: FiniteProcess, prefix: ValuePath) -> list[tuple[Value, Fr
             f"{p.depth} process",
             prefix=prefix,
         )
-    law, _ = _split_class(_prefix_class(p, tuple(prefix)), False)
+    prefix = tuple(prefix)
+    cls = [(p.root, ONE)]
+    for k, v in enumerate(prefix):
+        law, children = _split_class(cls, True)
+        if v not in law:
+            raise UnreachablePrefix(
+                f"prefix {fmt_prefix(prefix)} leaves the tree at step {k + 1}",
+                prefix=prefix,
+                step=k + 1,
+            )
+        cls = children[v]
+    law, _ = _split_class(cls, False)
     return sorted(law.items())
 
 
 # ---------------------------------------------------------------------------
 # martingale-difference and tangency checks
-
-def _zero_mean_check(p: FiniteProcess, part: slice) -> CheckResult:
-    """Exact zero conditional mean of the coordinates ``part`` of each value,
-    at every realizable prefix; the witness names the first failure."""
-    zero = (ZERO,) * len(range(p.dimension)[part])
-    for prefix, law in iter_prefix_laws(p, len):
-        mean = zero
-        for v, q in law.items():
-            mean = tuple(m + q * c for m, c in zip(mean, v[part]))
-        if mean != zero:
-            return CheckResult(False, {"prefix": prefix, "mean": mean})
-    return CheckResult(True, None)
-
 
 def is_mds(p: FiniteProcess) -> CheckResult:
     """Exact zero-conditional-mean check at every realizable prefix.
@@ -345,7 +313,14 @@ def is_mds(p: FiniteProcess) -> CheckResult:
     On failure the witness carries the offending prefix and the nonzero
     conditional mean.
     """
-    return _zero_mean_check(p, slice(None))
+    zero = (ZERO,) * p.dimension
+    for prefix, law in iter_prefix_laws(p, len):
+        mean = zero
+        for v, q in law.items():
+            mean = tuple(m + q * c for m, c in zip(mean, v))
+        if mean != zero:
+            return CheckResult(False, {"prefix": prefix, "mean": mean})
+    return CheckResult(True, None)
 
 
 def _component_law(law: dict[Value, Fraction], part: slice) -> dict[Value, Fraction]:
@@ -428,29 +403,3 @@ def satisfies_ci(pq: PairProcess, checked_component: int = 1) -> CheckResult:
                                        "law": sorted(law.items()),
                                        "first_law": sorted(first_law.items())})
     return CheckResult(True, None)
-
-
-def _map_values(root: Node, fn) -> Node:
-    """The tree with every value v replaced by fn(v), shared nodes kept shared."""
-    mapped: dict[int, Node] = {}
-    for node in distinct_nodes(root):
-        mapped[id(node)] = Node(tuple(
-            Branch(fn(br.value), br.prob, mapped[id(br.child)] if br.child else None)
-            for br in node.branches
-        ))
-    return mapped[id(root)]
-
-
-def pair_from_identical(p: FiniteProcess) -> PairProcess:
-    """Pair a process with itself pathwise (both components move together)."""
-    return PairProcess(
-        FiniteProcess(2 * p.dimension, p.depth, _map_values(p.root, lambda v: v + v)),
-        p.dimension,
-    )
-
-
-def swap_components(pq: PairProcess) -> PairProcess:
-    """Exchange the two components of a pair process."""
-    d = pq.component_dim
-    root = _map_values(pq.process.root, lambda v: v[d:] + v[:d])
-    return PairProcess(FiniteProcess(pq.process.dimension, pq.process.depth, root), d)

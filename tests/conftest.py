@@ -4,7 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from canonrep import Branch, FiniteProcess, Node, joint_law
+from canonrep import (
+    Branch,
+    CheckResult,
+    FiniteProcess,
+    Node,
+    PairProcess,
+    iter_prefix_laws,
+    joint_law,
+)
+from canonrep.process import distinct_nodes
 from canonrep.representation import Interval, cell_bounds
 
 
@@ -33,6 +42,47 @@ def step_marginal_law(p: FiniteProcess, step: int) -> dict:
         v = path[step - 1]
         out[v] = out.get(v, F(0)) + prob
     return out
+
+
+def map_values(root: Node, fn) -> Node:
+    """The tree with every value v replaced by fn(v), shared nodes kept shared."""
+    mapped: dict[int, Node] = {}
+    for node in distinct_nodes(root):
+        mapped[id(node)] = Node(tuple(
+            Branch(fn(br.value), br.prob, mapped[id(br.child)] if br.child else None)
+            for br in node.branches
+        ))
+    return mapped[id(root)]
+
+
+def pair_from_identical(p: FiniteProcess) -> PairProcess:
+    """Pair a process with itself pathwise (both components move together)."""
+    return PairProcess(
+        FiniteProcess(2 * p.dimension, p.depth, map_values(p.root, lambda v: v + v)),
+        p.dimension,
+    )
+
+
+def swap_components(pq: PairProcess) -> PairProcess:
+    """Exchange the two components of a pair process."""
+    d = pq.component_dim
+    root = map_values(pq.process.root, lambda v: v[d:] + v[:d])
+    return PairProcess(FiniteProcess(pq.process.dimension, pq.process.depth, root), d)
+
+
+def component_conditional_means(pq: PairProcess, which: int) -> CheckResult:
+    """Exact zero-mean check for one component under the pair filtration:
+    ``is_mds`` on the coordinates of component ``which`` (0 or 1)."""
+    d = pq.component_dim
+    part = slice(None, d) if which == 0 else slice(d, None)
+    zero = (F(0),) * d
+    for prefix, law in iter_prefix_laws(pq.process, len):
+        mean = zero
+        for v, q in law.items():
+            mean = tuple(m + q * c for m, c in zip(mean, v[part]))
+        if mean != zero:
+            return CheckResult(False, {"prefix": prefix, "mean": mean})
+    return CheckResult(True, None)
 
 
 def v1(x):

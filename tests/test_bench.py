@@ -26,6 +26,7 @@ from canonrep import (
     sample_paths,
 )
 from canonrep import bench
+from canonrep.process import distinct_nodes
 from canonrep.stats import chi_square_gof
 
 from conftest import leaf, v1
@@ -329,6 +330,20 @@ def test_exact_moment_ratio_guard(monkeypatch):
     with pytest.raises(SizeGuard, match="more than 3 path sums"):
         exact_moment_ratio(rep, 2)
     assert decoupling_ratio(rep, 2.0, 1000, seed=1).exact_ratio is None
+
+
+def test_exact_moment_ratio_guard_counts_each_distinct_node_once(monkeypatch):
+    # four root cells share one child: 4 sums there and 10 at the root, so
+    # 14 sums once per distinct node, against 26 once per path to a node
+    child = leaf((v1(-1), F(1, 2)), (v1(1), F(1, 2)))
+    root = Node(tuple(Branch(v1(x), F(1, 4), child) for x in (-3, -1, 1, 3)))
+    rep = represent_mds(FiniteProcess(1, 2, root))
+    assert len(distinct_nodes(rep.root)) == 2
+    monkeypatch.setattr(bench, "MAX_ORACLE_SUMS", 20)
+    _assert_matches_enumeration(rep, (2, 4))
+    monkeypatch.setattr(bench, "MAX_ORACLE_SUMS", 13)
+    with pytest.raises(SizeGuard, match="more than 13 path sums"):
+        exact_moment_ratio(rep, 2)
 
 
 def test_exact_moment_ratio_refuses_huge_powers():

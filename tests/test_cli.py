@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import time
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -707,3 +711,81 @@ def test_infinite_number_is_a_format_error(runner, tmp_path, old, new):
         res = runner.invoke(main, cmd)
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
+
+
+# ---------------------------------------------------------------------------
+# unreadable input, unwritable output
+
+def _nested_process(levels: int) -> str:
+    """A one-path process document ``levels`` steps deep (three JSON
+    nesting levels per step)."""
+    node = "null"
+    for _ in range(levels):
+        node = '{"branches": [{"value": ["0"], "prob": "1", "child": ' + node + "}]}"
+    return f'{{"format_version": 1, "dimension": 1, "depth": {levels}, "root": {node}}}'
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", _nested_process(900).encode()],
+                         ids=["not-utf8", "nested-900"])
+def test_unreadable_input_is_a_format_error(runner, tmp_path, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    out = str(tmp_path / "o.json")
+    for args in (["validate", "--in", str(path)],
+                 ["represent", "--in", str(path), "--out", out],
+                 ["bench", "--in", str(path), "--seed", "1", "--out", out],
+                 ["skorohod", "--in", str(path), "--seed", "1", "--out", out]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert isinstance(res.exception, SystemExit), args
+        assert res.stderr.startswith(f"error: cannot read {path}"), args
+
+
+def test_unwritable_output_is_an_io_error(runner, tmp_path):
+    p_path = _gen(runner, tmp_path)
+    missing = tmp_path / "missing"
+    for args in (
+        ["gen", "--depth", "2", "--branching", "2", "--seed", "1",
+         "--out", str(missing / "p.json")],
+        ["represent", "--in", str(p_path), "--out", str(missing / "r.json")],
+        ["skorohod", "--in", str(p_path), "--samples", "50", "--seed", "1",
+         "--out", str(tmp_path / "s.json"), "--csv", str(missing / "f.csv")],
+        ["skorohod", "--in", str(p_path), "--samples", "50", "--seed", "1",
+         "--out", str(tmp_path / "s.json"), "--svg", str(missing / "f.svg")],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert isinstance(res.exception, SystemExit), args
+        assert res.stderr.startswith("error: ") and str(missing) in res.stderr, args
+    assert not missing.exists()
+
+
+def test_skorohod_validates_before_checking_means(runner, tmp_path):
+    # the zero-probability branch's child has weight 0/0 given its prefix;
+    # the branch is refused before any conditional law is taken
+    leaf = {"branches": [{"value": ["0"], "prob": "1", "child": None}]}
+    doc = {"format_version": 1, "dimension": 1, "depth": 2, "root": {"branches": [
+        {"value": ["1"], "prob": "0", "child": leaf},
+        {"value": ["0"], "prob": "1", "child": leaf}]}}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    for args in (["validate", "--in", str(path)],
+                 ["represent", "--in", str(path), "--out", str(tmp_path / "r.json")],
+                 ["skorohod", "--in", str(path), "--seed", "1", "--out", str(tmp_path / "s.json")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, (args, res.output)
+        assert isinstance(res.exception, SystemExit), args
+        assert res.stderr.startswith("error: NonPositiveProb: "), args
+
+
+def test_failing_command_keeps_no_redirected_stderr_alive(tmp_path):
+    err = io.StringIO()
+    alive = weakref.ref(err)
+    with contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--in", str(tmp_path / "missing.json")], standalone_mode=False)
+    assert exit_info.value.code == 2
+    assert err.getvalue().startswith("error: cannot read ")
+    del err, exit_info
+    gc.collect()
+    assert alive() is None

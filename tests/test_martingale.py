@@ -13,7 +13,6 @@ from canonrep import (
     independent_coupling,
     joint_law,
     law_of_representation,
-    pair_from_identical,
     pair_law,
     random_dyadic_mds,
     random_independent_process,
@@ -24,11 +23,17 @@ from canonrep import (
     verify_zero_sections,
 )
 from canonrep.jsonio import representation_from_json, representation_to_json
-from canonrep.martingale import component_conditional_means
-from canonrep.process import _map_values
 from canonrep.representation import CellRepresentation
 
-from conftest import cells, leaf, unshared, v1
+from conftest import (
+    cells,
+    component_conditional_means,
+    leaf,
+    map_values,
+    pair_from_identical,
+    unshared,
+    v1,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +218,7 @@ def test_copy_is_mds_under_pair_filtration():
 def _first_component(pq):
     """The first component alone, as a process on its own history."""
     d = pq.component_dim
-    return FiniteProcess(d, pq.process.depth, _map_values(pq.process.root, lambda v: v[:d]))
+    return FiniteProcess(d, pq.process.depth, map_values(pq.process.root, lambda v: v[:d]))
 
 
 def _decoupled_law_of_first(pq):

@@ -32,7 +32,6 @@ from canonrep import (
     iter_prefix_laws,
     joint_law,
     law_of_representation,
-    pair_from_identical,
     pair_law,
     random_dyadic_mds,
     random_independent_process,
@@ -40,7 +39,6 @@ from canonrep import (
     random_tangent_pair,
     represent_mds,
     satisfies_ci,
-    swap_components,
     verify_transport_consistency,
 )
 from canonrep.harmonic import compile_disk
@@ -52,12 +50,17 @@ from canonrep.jsonio import (
     representation_from_json,
     representation_to_json,
 )
-from canonrep.martingale import component_conditional_means
 from canonrep.process import distinct_nodes
 from canonrep.representation import cell_bounds, locate_node
 from canonrep.transport import SectionTransport, TransportMap
 
-from conftest import cells, leaf
+from conftest import (
+    cells,
+    component_conditional_means,
+    leaf,
+    pair_from_identical,
+    swap_components,
+)
 
 ZERO, ONE = F(0), F(1)
 

@@ -18,17 +18,22 @@ from canonrep import (
     conditional_law,
     is_mds,
     joint_law,
-    pair_from_identical,
     pair_law,
     random_independent_process,
     random_process,
     satisfies_ci,
-    swap_components,
     validate_process,
 )
 from canonrep.jsonio import process_from_json, process_to_json
 
-from conftest import leaf, step_marginal_law, unshared, v1
+from conftest import (
+    leaf,
+    pair_from_identical,
+    step_marginal_law,
+    swap_components,
+    unshared,
+    v1,
+)
 
 
 def validate_path_law(law) -> None:
@@ -358,8 +363,7 @@ def test_public_names_are_exactly_these():
         # process
         "Branch", "CheckResult", "FiniteProcess", "Node", "PairProcess", "Value",
         "are_tangent", "conditional_law", "is_mds", "iter_prefix_laws",
-        "joint_law", "pair_from_identical", "satisfies_ci",
-        "swap_components", "validate_process",
+        "joint_law", "satisfies_ci", "validate_process",
         # representation
         "CellRepresentation", "Interval", "canonical_representation",
         "cell_bounds", "coordinate_recovery", "evaluate",

@@ -20,13 +20,12 @@ from canonrep import (
     is_mds,
     joint_law,
     law_of_representation,
-    pair_from_identical,
     pair_law,
     satisfies_ci,
     validate_process,
     verify_zero_sections,
 )
-from conftest import step_marginal_law
+from conftest import pair_from_identical, step_marginal_law
 
 
 @st.composite

@@ -16,13 +16,12 @@ from canonrep import (
     build_transport,
     canonical_representation,
     independent_coupling,
-    pair_from_identical,
     pair_law,
     random_process,
     verify_measure_preserving,
     verify_transport_consistency,
 )
-from canonrep import are_tangent, random_independent_process, random_tangent_pair, swap_components
+from canonrep import are_tangent, random_independent_process, random_tangent_pair
 from canonrep.process import ONE, ZERO, CheckResult, fmt_prefix, fmt_value
 from canonrep.representation import Interval, cell_bounds, locate_node
 from canonrep.transport import (
@@ -32,7 +31,7 @@ from canonrep.transport import (
     _lcm_grid,
 )
 
-from conftest import cells
+from conftest import cells, pair_from_identical, swap_components
 
 
 # ---------------------------------------------------------------------------
