@@ -36,7 +36,10 @@ Philox block k drives step k, and each block one more for its grid
 positions, so any path can be regenerated in isolation and paths may run
 concurrently.  Live blocks draw ahead together, more steps as fewer
 remain, without changing a byte; the bytes depend on numpy's SIMD
-kernels for log1p, exp and arctan2.
+kernels for log1p, exp and arctan2.  The grid values add no such
+dependence: one array harmonic extension per node and level reads them
+at the grid positions, and its bytes depend on the libm's ``atan2`` and
+``hypot``, not on numpy's SIMD loops (see ``harmonic``).
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from .harmonic import TAU, DiskNode, compile_disk, harmonic_extension, walk_unif
 from .martingale import verify_zero_sections
 from .representation import CellRepresentation
 from .rng import _BLOCKS_PER_PASS, _MASK64, GENERATOR_ID, _philox_passes, path_uniforms
-# path_stream stays importable from here; bench/spans.py wraps it in this namespace
+# path_stream stays bound here: bench/test_harness.py checks that the tracer
+# wraps it in this namespace and restores it
 from .rng import path_stream  # noqa: F401
 
 KAPPA = 4.0  # far from the circle an euler step's inner-time std is 1/KAPPA of the distance to it
@@ -412,6 +416,20 @@ def _simulate_range(
     )
 
 
+def _pull_inside(z: np.ndarray, cap: float) -> np.ndarray:
+    """The complex array ``z``, with each point at distance ``cap`` or more
+    from the center scaled in place to just inside it.  ``z *= f`` is
+    spelled as the two real products CPython's complex-by-float product
+    makes, so a point gets the bytes of the scalar statement."""
+    x, y = z.real, z.imag
+    r = np.hypot(x, y)
+    far = r >= cap
+    f = cap * (1.0 - 1e-12) / r[far]
+    fx, fy = x[far], y[far]
+    x[far], y[far] = fx * f - fy * 0.0, fx * 0.0 + fy * f
+    return z
+
+
 def _euler_range(
     root: DiskNode,
     cfg: BrownianConfig,
@@ -470,17 +488,21 @@ def _euler_range(
                 values[:, gi] = sums[:, n + 1]
         positions = exits.positions.reshape(hi - lo, depth, width)
         for node, idx, n in visited:
+            # one extension for all grid columns of the node's level, each
+            # with the paths still inside the disk at its time
+            cols = []
             for (gi, t), j in zip(per_block[n], slot_of[n]):
                 pre = idx[t < rel[idx, n]]
-                if not pre.size:
-                    continue
-                ext = []
-                for z in positions[pre, n, j].tolist():
-                    r = abs(z)
-                    if r >= cap:
-                        z *= cap * (1.0 - 1e-12) / r
-                    ext.append(harmonic_extension(node, z, BOUNDARY_EPS))
-                values[pre, gi] = sums[pre, n] + ext
+                if pre.size:
+                    cols.append((gi, pre, j))
+            if not cols:
+                continue
+            z = np.concatenate([positions[pre, n, j] for _gi, pre, j in cols])
+            ext = harmonic_extension(node, _pull_inside(z, cap), BOUNDARY_EPS)
+            at = 0
+            for gi, pre, _j in cols:
+                values[pre, gi] = sums[pre, n] + ext[at:at + pre.size]
+                at += pre.size
 
 
 def simulate_F(

@@ -281,7 +281,8 @@ def conditional_law(p: FiniteProcess, prefix: ValuePath) -> list[tuple[Value, Fr
     """Conditional law of the next value given a realizable value prefix.
 
     Returns (value, prob) pairs sorted by the canonical (lexicographic)
-    order, with equal values on distinct branches aggregated.
+    order, with equal values on distinct branches aggregated.  A prefix
+    value may be any sequence of coordinates, a list as well as a tuple.
     """
     if len(prefix) >= p.depth:
         raise UnreachablePrefix(
@@ -289,7 +290,7 @@ def conditional_law(p: FiniteProcess, prefix: ValuePath) -> list[tuple[Value, Fr
             f"{p.depth} process",
             prefix=prefix,
         )
-    prefix = tuple(prefix)
+    prefix = tuple(tuple(v) for v in prefix)
     cls = [(p.root, ONE)]
     for k, v in enumerate(prefix):
         law, children = _split_class(cls, True)

@@ -1,7 +1,9 @@
 """Shared fixtures: small hand-built processes used across the suite."""
 
+import cmath
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from canonrep import (
@@ -13,6 +15,7 @@ from canonrep import (
     iter_prefix_laws,
     joint_law,
 )
+from canonrep.harmonic import TAU
 from canonrep.process import distinct_nodes
 from canonrep.representation import Interval, cell_bounds
 
@@ -83,6 +86,27 @@ def component_conditional_means(pq: PairProcess, which: int) -> CheckResult:
         if mean != zero:
             return CheckResult(False, {"prefix": prefix, "mean": mean})
     return CheckResult(True, None)
+
+
+def reference_measures(z: complex, angles) -> list[float]:
+    """Harmonic measures from the point ``z`` of the arcs between consecutive
+    ``angles``, one scalar ``cmath`` formula per arc end: the loop whose
+    bytes the array kernel in ``canonrep.harmonic`` reproduces."""
+    z = complex(z)
+    points = [cmath.exp(1j * a) for a in angles]
+    ends = [cmath.phase((w - z) / (1.0 - z.conjugate() * w)) for w in points] if z else None
+    return [1.0 if hi - lo == TAU else (hi - lo) / TAU if ends is None
+            else (ends[i + 1] - ends[i]) % TAU / TAU
+            for i, (lo, hi) in enumerate(zip(angles, angles[1:]))]
+
+
+def reference_extension(node, z: complex) -> np.ndarray:
+    """Harmonic extension of a ``DiskNode``'s boundary data at ``z``, its
+    cells summed in order from ``reference_measures``."""
+    out = np.zeros(node.values.shape[1])
+    for value, measure in zip(node.values, reference_measures(z, node.angles)):
+        out += value * measure
+    return out
 
 
 def v1(x):

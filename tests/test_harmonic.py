@@ -13,8 +13,9 @@ from canonrep import (
     harmonic_measure,
     represent_mds,
 )
+from canonrep.embedding import BOUNDARY_EPS, _pull_inside
 from canonrep.harmonic import TAU, DiskNode, compile_disk
-from conftest import leaf, v1
+from conftest import leaf, reference_extension, reference_measures, v1
 
 
 
@@ -142,3 +143,114 @@ def test_extension_fair_coin_combination(fair_coin):
     omega_low = poisson_quadrature(0.5 + 0j, 0.0, math.pi)
     expect = -1.0 * omega_low + 1.0 * (1 - omega_low)
     assert harmonic_extension(node, z)[0] == pytest.approx(expect, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the scalar cmath formula, byte for byte
+
+EULER_CAP = 1.0 - BOUNDARY_EPS
+
+
+def _scalar_pull_inside(z: complex, cap: float) -> complex:
+    r = abs(z)
+    if r >= cap:
+        z *= cap * (1.0 - 1e-12) / r
+    return z
+
+
+def _kernel_points(rng: np.random.Generator, node: DiskNode, count: int) -> np.ndarray:
+    """``count`` random points of the disk, a quarter of them pulled inside
+    the euler cap from outside it, after the zeros of either sign, points
+    on both axes and points towards every cell end."""
+    special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               0.5, -0.5, 0.5j, -0.5j, complex(0.3, -0.0), complex(-0.0, -0.7),
+               complex(-0.9, 0.0), complex(0.0, 0.98)]
+    special += [0.6 * cmath.exp(1j * a) for a in node.angles]
+    r = 0.9999 * np.sqrt(rng.random(count))
+    z = r * np.exp(1j * TAU * rng.random(count))
+    outside = (EULER_CAP + 0.3 * rng.random(count // 4)) * np.exp(1j * TAU * rng.random(count // 4))
+    z[:count // 4] = [_scalar_pull_inside(p, EULER_CAP) for p in outside.tolist()]
+    return np.concatenate([np.array(special, dtype=complex), z])
+
+
+def _kernel_nodes() -> list[DiskNode]:
+    """One-cell nodes and random zero-mean nodes, in dimensions 1 and 2."""
+    from canonrep import random_process
+
+    nodes = [DiskNode(leaf((v1(0), F(1))), [None]),
+             DiskNode(leaf(((F(0), F(0)), F(1))), [None])]
+    for depth, branching, dimension, seed in [(1, 2, 1, 3), (1, 5, 1, 4), (2, 4, 2, 5), (1, 7, 2, 6)]:
+        nodes.append(compile_disk(represent_mds(random_process(depth, branching, dimension, seed, mds=True))))
+    return nodes
+
+
+def _first_byte_difference(got: np.ndarray, ref: np.ndarray, z: np.ndarray):
+    for point, a, b in zip(z.tolist(), got, ref):
+        if a.tobytes() != b.tobytes():
+            return point, a, b
+    return None
+
+
+def test_cap_scaling_matches_the_scalar_product():
+    rng = np.random.default_rng(41)
+    z = 1.3 * np.sqrt(rng.random(4000)) * np.exp(1j * TAU * rng.random(4000))
+    z[:6] = [complex(EULER_CAP, 0.0), complex(-0.0, -EULER_CAP), complex(-1.2, -0.0),
+             complex(0.0, 1.1), 0j, complex(0.8, -0.8)]
+    ref = np.array([_scalar_pull_inside(p, EULER_CAP) for p in z.tolist()])
+    got = _pull_inside(z.copy(), EULER_CAP)
+    assert got.tobytes() == ref.tobytes()
+    assert np.count_nonzero(got != z) > 1000  # the far points moved
+
+
+def test_extension_matches_the_scalar_formula_bytes():
+    rng = np.random.default_rng(29)
+    nodes = _kernel_nodes()
+    assert {node.values.shape[1] for node in nodes} == {1, 2}
+    total = 0
+    for node in nodes:
+        z = _kernel_points(rng, node, 2000)
+        got = harmonic_extension(node, z, 1e-6)
+        ref = np.array([reference_extension(node, p) for p in z.tolist()])
+        assert got.shape == ref.shape == (z.size, node.values.shape[1])
+        assert got.tobytes() == ref.tobytes(), _first_byte_difference(got, ref, z)
+        # one point gives one row, with the same bytes
+        for p in z[:20].tolist():
+            assert harmonic_extension(node, p, 1e-6).tobytes() == reference_extension(node, p).tobytes()
+        total += z.size
+    assert total >= 10**4
+
+
+def test_one_cell_node_extends_to_its_value():
+    node = DiskNode(leaf(((F(3), F(-1, 2)), F(1))), [None])
+    z = np.array([0j, complex(-0.0, -0.0), 0.4 - 0.7j, EULER_CAP * (1.0 - 1e-12)])
+    assert harmonic_extension(node, z).tolist() == [[3.0, -0.5]] * 4
+
+
+def test_measure_matches_the_scalar_formula_bytes():
+    rng = np.random.default_rng(31)
+    z = _kernel_points(rng, DiskNode(leaf((v1(0), F(1))), [None]), 1000)
+    for _ in range(10):
+        lo = TAU * (rng.random() - 0.5)
+        for hi in (lo, lo + TAU * rng.random(), lo + TAU):
+            got = harmonic_measure(z, (lo, hi))
+            ref = np.array([reference_measures(p, (lo, hi))[0] for p in z.tolist()])
+            assert got.tobytes() == ref.tobytes(), _first_byte_difference(got, ref, z)
+            assert harmonic_measure(complex(z[-1]), (lo, hi)) == ref[-1]
+
+
+def test_batch_with_one_point_too_close_is_refused(fair_coin):
+    node = compile_disk(represent_mds(fair_coin))
+    z = np.array([0j, 0.5, 0.3j, -0.9999999 + 0j, 0.2 - 0.1j])
+    with pytest.raises(TooCloseToBoundary):
+        harmonic_extension(node, z)
+    with pytest.raises(TooCloseToBoundary):
+        harmonic_measure(z, (0.0, 1.0))
+    with pytest.raises(TooCloseToBoundary):
+        harmonic_extension(node, z[:3], boundary_eps=0.6)
+    assert harmonic_extension(node, z[:3], boundary_eps=0.4).shape == (3, 1)
+
+
+def test_points_must_form_at_most_one_axis(fair_coin):
+    node = compile_disk(represent_mds(fair_coin))
+    with pytest.raises(ValueError):
+        harmonic_extension(node, np.zeros((2, 2)))

@@ -211,6 +211,15 @@ def test_conditional_law_after_prefix(sign_flip):
     ]
 
 
+def test_conditional_law_list_prefix_matches_tuple_prefix():
+    # prefix values spelled as lists find the same branches as tuples
+    for p in (random_process(2, 2, 1, 3, mds=True), random_process(3, 3, 2, seed=5)):
+        for path in joint_law(p):
+            for k in range(p.depth):
+                prefix = path[:k]
+                assert conditional_law(p, [list(v) for v in prefix]) == conditional_law(p, prefix)
+
+
 def test_conditional_law_unreachable(fair_coin):
     with pytest.raises(UnreachablePrefix):
         conditional_law(fair_coin, ((F(0),),))
